@@ -249,44 +249,6 @@ class EdgeBuffer:
     def report(self) -> "BufferReport":
         return BufferReport.from_buffers([self])
 
-    # -- persistence ---------------------------------------------------------
-    def snapshot(self) -> dict:
-        """JSON-safe state dump for checkpointing (spec not included —
-        restore re-binds the caller's spec and refuses a capacity drift)."""
-        return {
-            "queue": [[p.enqueue_t, p.nbytes] for p in self._queue],
-            "offered_bytes": self.offered_bytes,
-            "delivered_bytes": self.delivered_bytes,
-            "dropped_bytes": self.dropped_bytes,
-            "offered_payloads": self.offered_payloads,
-            "delivered_payloads": self.delivered_payloads,
-            "dropped_payloads": self.dropped_payloads,
-            "blocked_payloads": self.blocked_payloads,
-            "delays_s": list(self.delays_s),
-        }
-
-    @staticmethod
-    def restore(spec: BufferSpec, snap: dict) -> "EdgeBuffer":
-        """Rebuild a buffer that continues exactly from ``snapshot()``.
-
-        The restored buffer conserves by construction; a snapshot whose
-        ledgers do not partition raises ``ValueError`` instead of silently
-        resuming with broken accounting.
-        """
-        buf = EdgeBuffer(spec)
-        for t, nbytes in snap["queue"]:
-            buf._queue.append(BufferedPayload(float(t), int(nbytes)))
-        for name in (
-            "offered_bytes", "delivered_bytes", "dropped_bytes",
-            "offered_payloads", "delivered_payloads", "dropped_payloads",
-            "blocked_payloads",
-        ):
-            setattr(buf, name, int(snap[name]))
-        buf.delays_s = [float(d) for d in snap["delays_s"]]
-        if not buf.conserves:
-            raise ValueError("buffer snapshot does not conserve bytes")
-        return buf
-
 
 @dataclass(frozen=True)
 class BufferReport:

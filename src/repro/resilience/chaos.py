@@ -39,6 +39,12 @@ and are also driven by ``tests/chaos/`` in CI, so the guarantees in
     placement trace must be SHA-256 bit-identical to one uninterrupted
     in-process run of the same load — the serving tentpole's end-to-end
     guarantee.
+``truncate-serve-log``
+    A serve checkpoint's trace log is cut mid-record below the offset its
+    envelope records (refused with ``CheckpointCorrupt``), then given a torn
+    tail past that offset, as a crash between the log fsync and the envelope
+    replace leaves it: resume truncates the tail, lands on the checkpoint's
+    SHA, and the finished replay matches the uninterrupted one.
 
 Workers communicate "I already crashed once" through marker files in a
 scratch directory, so every injected failure happens exactly once and the
@@ -482,6 +488,85 @@ def scenario_kill_serve_resume() -> str:
     )
 
 
+def scenario_truncate_serve_log() -> str:
+    """Cut a serve trace log below the checkpoint's offset, then tear its tail.
+
+    A log cut mid-record anywhere below the offset the envelope records must
+    refuse to resume with :class:`~repro.resilience.errors.CheckpointCorrupt`.
+    Records past the offset — what a crash between the log fsync and the
+    envelope replace leaves, here with a torn last record — must be cut
+    away: the resume lands on the checkpoint's SHA, and finishing the
+    replay from there reaches the uninterrupted run's SHA.
+    """
+    from repro.loadgen.arrivals import arrival_to_request, merged_stream
+    from repro.resilience.errors import CheckpointCorrupt
+    from repro.serve.checkpoint import (
+        ServeCheckpointer,
+        encode_events,
+        log_path,
+        resume_engine,
+    )
+    from repro.serve.engine import OrchestrationEngine
+
+    config = _serve_chaos_config()
+    requests = [arrival_to_request(a) for a in merged_stream(_serve_chaos_spec())]
+    reference = OrchestrationEngine(config)
+    for request in requests:
+        reference.handle(dict(request))
+    expected_sha = reference.trace.fingerprint()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "serve-ck.json"
+        log = log_path(ckpt)
+        engine = OrchestrationEngine(config)
+        engine.checkpointer = ServeCheckpointer(ckpt, 20)
+        for request in requests[: len(requests) // 2]:
+            engine.handle(dict(request))
+        engine.checkpointer.flush(engine)
+        saved_sha, saved_events = engine.trace.fingerprint(), engine.trace.n_events
+        intact = log.read_bytes()
+
+        # 1. cut mid-record below the offset: refused, never resumed short
+        ends = [i + 1 for i, byte in enumerate(intact) if byte == ord("\n")]
+        starts = [0] + ends[:-1]
+        picks = range(0, len(starts), max(1, len(starts) // 16))
+        cuts = [(starts[i] + ends[i]) // 2 for i in picks] + [len(intact) - 1]
+        for cut in cuts:
+            log.write_bytes(intact[:cut])
+            try:
+                resume_engine(ckpt, config)
+            except CheckpointCorrupt:
+                continue
+            raise AssertionError(f"log cut at byte {cut} of {len(intact)} was resumed")
+
+        # 2. a torn tail past the offset: truncated, resume exact
+        engine.checkpointer = None
+        for request in requests[len(requests) // 2 : (2 * len(requests)) // 3]:
+            engine.handle(dict(request))
+        tail = encode_events(engine.trace.events[saved_events:])
+        torn = tail[: tail.index(b"\n") // 2]  # a record cut halfway by the crash
+        log.write_bytes(intact + tail + torn)
+        checkpointer = ServeCheckpointer(ckpt, 20)
+        resumed = checkpointer.resume(config)
+        if (resumed.trace.fingerprint(), resumed.trace.n_events) != (saved_sha, saved_events):
+            raise AssertionError("resume past a torn tail did not land on the checkpoint")
+        if log.read_bytes() != intact:
+            raise AssertionError("resume left the torn tail in the log")
+        resumed.checkpointer = checkpointer
+        for request in requests[resumed.n_requests :]:
+            resumed.handle(dict(request))
+        checkpointer.flush(resumed)
+        final = resume_engine(ckpt, config)
+    if resumed.trace.fingerprint() != expected_sha or final.trace.fingerprint() != expected_sha:
+        raise AssertionError("replay finished after the torn tail diverged from the reference")
+    return (
+        f"{len(cuts)} mid-record log cuts below the offset refused with "
+        f"CheckpointCorrupt; a tail of {engine.trace.n_events - saved_events} "
+        "records plus a torn one was truncated, resume matched the checkpoint "
+        f"and the finished replay the uninterrupted one (sha {expected_sha[:12]}…)"
+    )
+
+
 SCENARIOS: Dict[str, Tuple[Callable[[], str], str]] = {
     "kill-worker": (scenario_kill_worker, "SIGKILL a pool worker mid-chunk"),
     "hang-worker": (scenario_hang_worker, "hang a worker past its chunk deadline"),
@@ -495,6 +580,10 @@ SCENARIOS: Dict[str, Tuple[Callable[[], str], str]] = {
     "kill-serve-resume": (
         scenario_kill_serve_resume,
         "SIGKILL a live serve twice mid-replay, resume + reconnect, trace bit-identical",
+    ),
+    "truncate-serve-log": (
+        scenario_truncate_serve_log,
+        "cut a serve trace log below its checkpoint, then tear its tail",
     ),
 }
 

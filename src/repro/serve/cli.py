@@ -19,8 +19,9 @@ to the fault-free serving layer):
   :class:`~repro.serve.faults.ServeFaultSpec`;
 * ``--queue-bound`` enables deterministic overload shedding (503 +
   Retry-After, telemetry shed before inference);
-* ``--checkpoint`` writes a crash checkpoint every ``--checkpoint-every``
-  requests; a SIGKILLed process restarts with the same arguments plus
+* ``--checkpoint FILE`` writes a crash checkpoint every
+  ``--checkpoint-every`` requests (``FILE`` plus its append-only trace log
+  ``FILE.log``); a SIGKILLed process restarts with the same arguments plus
   ``--resume`` and continues bit-identically.  ``--resume`` with a missing
   checkpoint file starts fresh (first boot and resumed boot share one
   command line); a checkpoint written under a *different* config refuses
@@ -38,7 +39,7 @@ from typing import Optional, Sequence
 from repro.core.calibration import CYCLE_SECONDS
 from repro.core.placement import POLICY_KINDS
 from repro.resilience.errors import CheckpointError
-from repro.serve.checkpoint import DEFAULT_EVERY, ServeCheckpointer, resume_engine
+from repro.serve.checkpoint import DEFAULT_EVERY, ServeCheckpointer
 from repro.serve.engine import OrchestrationEngine, ServeConfig
 from repro.serve.faults import ServeFaultSpec
 from repro.serve.http import make_server, serve_until_signal
@@ -100,8 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--fault-seed", type=int, default=0,
                         help="base seed of every fault/retry stream (default: %(default)s)")
     recovery = parser.add_argument_group("crash recovery")
-    recovery.add_argument("--checkpoint", default=None,
-                          help="write a crash checkpoint of the engine state here")
+    recovery.add_argument("--checkpoint", default=None, metavar="FILE",
+                          help="write a crash checkpoint of the engine state here "
+                          "(and its trace log to FILE.log)")
     recovery.add_argument("--checkpoint-every", type=int, default=DEFAULT_EVERY,
                           help="requests between checkpoints (default: %(default)s)")
     recovery.add_argument("--resume", action="store_true",
@@ -151,18 +153,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    checkpointer = (
+        ServeCheckpointer(args.checkpoint, args.checkpoint_every) if args.checkpoint else None
+    )
     resumed = False
     if args.resume and Path(args.checkpoint).exists():
         try:
-            engine = resume_engine(args.checkpoint, config)
+            engine = checkpointer.resume(config)
         except CheckpointError as exc:
             print(f"error: cannot resume from {args.checkpoint}: {exc}", file=sys.stderr)
             return 3
         resumed = True
     else:
         engine = OrchestrationEngine(config)
-    if args.checkpoint:
-        engine.checkpointer = ServeCheckpointer(args.checkpoint, args.checkpoint_every)
+    engine.checkpointer = checkpointer
 
     server = make_server(engine, args.host, args.port)
     port = server.server_address[1]

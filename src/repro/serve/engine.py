@@ -231,6 +231,8 @@ class OrchestrationEngine:
                 raise ValueError(f"unknown op {op!r} (expected one of {OPS})")
             hive = int(request["hive"])
             t = float(request.get("t", 0.0))
+            if not math.isfinite(t):
+                raise ValueError(f"non-finite request time {t!r}")
             if self._last_t is not None and t < self._last_t:
                 raise ValueError(
                     f"non-monotonic request time {t!r} after {self._last_t!r}"

@@ -50,6 +50,21 @@ class PlacementTrace:
         self._hash = hashlib.sha256()
         self._events: List[Dict[str, Any]] = []
 
+    @classmethod
+    def from_events(
+        cls, events: List[Dict[str, Any]], keep_events: bool = True
+    ) -> "PlacementTrace":
+        """The trace that recorded ``events`` (sequence numbers included),
+        with its streaming hash re-derived so appends continue it exactly."""
+        trace = cls(keep_events=keep_events)
+        update = trace._hash.update
+        for event in events:
+            update((render_event(event) + "\n").encode("ascii"))
+        trace.n_events = len(events)
+        if keep_events:
+            trace._events = list(events)
+        return trace
+
     def append(self, **event: Any) -> None:
         event["seq"] = self.n_events
         self._hash.update(render_event(event).encode("ascii"))

@@ -68,6 +68,12 @@ def test_kill_serve_resume_trace_bit_identical():
     assert "bit-identical" in chaos.scenario_kill_serve_resume()
 
 
+def test_truncate_serve_log_refuses_short_and_cuts_torn_tail():
+    detail = chaos.scenario_truncate_serve_log()
+    assert "refused with CheckpointCorrupt" in detail
+    assert "the finished replay the uninterrupted one" in detail
+
+
 # -- CLI surface --------------------------------------------------------------
 
 

@@ -3,16 +3,19 @@
 Covers the serving layer's survival story end to end — the compiled fault
 timetable, mid-replay server death and repack, dark-window buffering,
 deterministic overload shedding with the ``offered == served + shed +
-errored`` conservation partition, and the checkpoint/resume round trip —
-plus two Hypothesis nets: conservation under arbitrary request
-interleavings, and live-equals-batch-fold across every placement policy
-under fail/repack/recover churn.
+errored`` conservation partition, the checkpoint/resume round trip, the
+bounded checkpoint (live-state envelope plus trace log) and the request
+clock's guard against non-finite times — plus two Hypothesis nets:
+conservation under arbitrary request interleavings, and
+live-equals-batch-fold across every placement policy under
+fail/repack/recover churn.
 """
 
 import dataclasses
 import json
 import math
 import os
+import pickle
 import signal
 import socket
 import subprocess
@@ -27,10 +30,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.placement import POLICY_KINDS
 from repro.loadgen.arrivals import LoadSpec
-from repro.loadgen.replay import SHED, replay_in_process
-from repro.resilience.errors import CheckpointError
+from repro.loadgen.replay import iter_requests, replay_in_process
+from repro.resilience.checkpoint import load_checkpoint, write_checkpoint
+from repro.resilience.errors import (
+    CheckpointCorrupt,
+    CheckpointError,
+    CheckpointSchemaMismatch,
+)
+from repro.resilience.snapshot import snapshot_obs
 from repro.serve.checkpoint import (
+    SERVE_LAYOUT,
     ServeCheckpointer,
+    encode_events,
+    engine_run_key,
+    log_path,
     restore_engine,
     resume_engine,
     save_engine,
@@ -303,7 +316,7 @@ class TestCheckpoint:
         engine = OrchestrationEngine(self.CONFIG)
         for request in requests[:cut]:
             engine.handle(dict(request))
-        clone = restore_engine(self.CONFIG, snapshot_engine(engine))
+        clone = restore_engine(self.CONFIG, snapshot_engine(engine), engine.trace.events)
         assert clone.trace.fingerprint() == engine.trace.fingerprint()
         for request in requests[cut:]:
             a = engine.handle(dict(request))
@@ -346,10 +359,169 @@ class TestCheckpoint:
             if compiled.hive_dark(h, float(t))
         )
         engine.handle({"op": "telemetry", "hive": dark[0], "t": dark[1], "bytes": 256})
-        clone = restore_engine(ServeConfig(faults=FAULTS), snapshot_engine(engine))
+        clone = restore_engine(ServeConfig(faults=FAULTS), snapshot_engine(engine),
+                               engine.trace.events)
         assert clone._fault_cursor == engine._fault_cursor
         assert clone._down_servers == engine._down_servers
         assert clone._buffers[dark[0]].resident_payloads == 1
+
+
+def _buffer_ledgers(engine):
+    return {
+        hive: (list(buf._queue), buf.delays_s, buf.offered_bytes, buf.delivered_bytes,
+               buf.dropped_bytes, buf.blocked_payloads)
+        for hive, buf in engine._buffers.items()
+    }
+
+
+class TestBoundedCheckpoint:
+    """The envelope holds live state only; history is re-derived from the log."""
+
+    CONFIG = ServeConfig(policy="best-fit", queue_bound=8, faults=FAULTS)
+
+    @pytest.mark.parametrize(
+        "config, load",
+        [
+            (ServeConfig(queue_bound=16),
+             LoadSpec(n_hives=64, rate_hz=0.02, horizon_s=12000.0, seed=0xB0D5)),
+            # no queue bound: only the checkpoint prunes finished in-flight work
+            (ServeConfig(),
+             LoadSpec(n_hives=64, rate_hz=1.0 / 300.0, horizon_s=72000.0, seed=0xB0D5)),
+        ],
+        ids=["queue-bounded", "unbounded"],
+    )
+    def test_payload_size_is_flat_in_requests_served(self, tmp_path, config, load):
+        path = tmp_path / "serve.ckpt"
+        engine = OrchestrationEngine(config)
+        engine.checkpointer = ServeCheckpointer(path)
+        sizes = {}
+        for request in iter_requests(load):
+            engine.handle(dict(request))
+            if engine.n_requests in (1000, 15000):
+                engine.checkpointer.flush(engine)
+                payload = load_checkpoint(path, kind="serve")
+                sizes[engine.n_requests] = len(pickle.dumps(payload, protocol=4))
+            if engine.n_requests == 15000:
+                break
+        assert set(sizes) == {1000, 15000}
+        assert abs(sizes[15000] - sizes[1000]) <= 0.10 * sizes[1000]
+        assert log_path(path).read_bytes() == encode_events(engine.trace.events)
+
+    def test_history_rederived_from_the_log_equals_the_live_engine(self, tmp_path):
+        path = tmp_path / "serve.ckpt"
+        engine, _ = replay_in_process(LOAD, OrchestrationEngine(self.CONFIG))
+        drained = any(buf.delays_s for buf in engine._buffers.values())
+        assert drained, "no drains — fix the fixture"
+        save_engine(path, engine)
+        for keep in (True, False):
+            resumed = resume_engine(path, self.CONFIG, keep_trace_events=keep)
+            assert resumed.trace.fingerprint() == engine.trace.fingerprint()
+            assert resumed._latencies == engine._latencies
+            assert _buffer_ledgers(resumed) == _buffer_ledgers(engine)
+            assert resumed.report() == engine.report()
+
+    def test_fresh_checkpointer_starts_a_new_log(self, tmp_path):
+        path = tmp_path / "serve.ckpt"
+        first = OrchestrationEngine(ServeConfig())
+        first.checkpointer = ServeCheckpointer(path, every=5)
+        for i in range(40):
+            first.handle({"op": "telemetry", "hive": i % 4, "t": float(i)})
+        second = OrchestrationEngine(ServeConfig())
+        second.checkpointer = ServeCheckpointer(path, every=5)
+        for i in range(10):
+            second.handle({"op": "telemetry", "hive": 9, "t": float(i)})
+        assert log_path(path).read_bytes() == encode_events(second.trace.events)
+        resumed = resume_engine(path, ServeConfig())
+        assert resumed.trace.fingerprint() == second.trace.fingerprint()
+
+    def test_resumed_checkpointer_appends_to_the_log_it_resumed(self, tmp_path):
+        path = tmp_path / "serve.ckpt"
+        requests = list(iter_requests(LOAD))
+        cut = len(requests) // 2
+        engine = OrchestrationEngine(self.CONFIG)
+        engine.checkpointer = ServeCheckpointer(path, every=10)
+        for request in requests[:cut]:
+            engine.handle(dict(request))
+        engine.checkpointer.flush(engine)
+        engine.checkpointer = None
+        inode = log_path(path).stat().st_ino
+        checkpointer = ServeCheckpointer(path, every=10)
+        resumed = checkpointer.resume(self.CONFIG)
+        resumed.checkpointer = checkpointer
+        for request in requests[cut:]:
+            assert resumed.handle(dict(request)) == engine.handle(dict(request))
+        checkpointer.flush(resumed)
+        assert log_path(path).stat().st_ino == inode  # appended, never rewritten
+        assert log_path(path).read_bytes() == encode_events(engine.trace.events)
+        final = resume_engine(path, self.CONFIG)
+        assert final.trace.fingerprint() == engine.trace.fingerprint()
+        assert final.report() == engine.report()
+
+    def test_tampered_or_missing_log_is_refused(self, tmp_path):
+        path = tmp_path / "serve.ckpt"
+        engine = OrchestrationEngine(ServeConfig())
+        for i in range(6):
+            engine.handle({"op": "telemetry", "hive": 0, "t": float(i)})
+        save_engine(path, engine)
+        log = log_path(path)
+        intact = log.read_bytes()
+        log.write_bytes(intact.replace(b'"t":3.0', b'"t":4.0', 1))  # same length
+        with pytest.raises(CheckpointCorrupt):
+            resume_engine(path, ServeConfig())
+        log.unlink()
+        with pytest.raises(CheckpointCorrupt):
+            resume_engine(path, ServeConfig())
+
+    def test_full_state_layout_is_refused_structurally(self, tmp_path, capsys):
+        path = tmp_path / "serve.ckpt"
+        engine = OrchestrationEngine(ServeConfig())
+        engine.handle({"op": "admit", "hive": 0, "t": 0.0})
+        full_state = {  # the layout before the trace log: every event inline
+            "clients": [0],
+            "last_t": 0.0,
+            "busy_until": [],
+            "inflight": [],
+            "latencies": {"telemetry": [], "inference": []},
+            "counters": {"n_requests": 1, "n_errors": 0, "n_offered": 1,
+                         "n_served": 1, "n_shed": 0, "n_errored": 0},
+            "fault_cursor": 0,
+            "down_servers": [],
+            "buffers": {},
+            "trace_events": [dict(e) for e in engine.trace.events],
+            "obs": snapshot_obs(engine.obs),
+        }
+        write_checkpoint(path, full_state, kind="serve", run_key=engine_run_key(ServeConfig()))
+        with pytest.raises(CheckpointSchemaMismatch) as exc:
+            resume_engine(path, ServeConfig())
+        assert (exc.value.found, exc.value.expected) == (1, SERVE_LAYOUT)
+        from repro.serve.cli import main
+
+        assert main(["--port", "0", "--checkpoint", str(path), "--resume"]) == 3
+        assert "payload layout 1" in capsys.readouterr().err
+
+
+class TestRequestBoundary:
+    def test_nan_time_cannot_poison_the_request_clock(self, tmp_path):
+        engine = OrchestrationEngine(ServeConfig())
+        poisoned = engine.handle({"op": "telemetry", "hive": 0, "t": math.nan})
+        assert poisoned["ok"] is False and "non-finite" in poisoned["error"]
+        assert engine.handle({"op": "telemetry", "hive": 0, "t": 5.0})["ok"] is True
+        early = engine.handle({"op": "telemetry", "hive": 0, "t": 1.0})
+        assert early["ok"] is False and "non-monotonic" in early["error"]
+        assert engine.handle({"op": "health"})["uptime_s"] == 5.0
+        path = tmp_path / "serve.ckpt"
+        save_engine(path, engine)
+        resumed = resume_engine(path, ServeConfig())
+        assert resumed.handle({"op": "health"})["uptime_s"] == 5.0
+        assert resumed.handle({"op": "telemetry", "hive": 0, "t": 1.0})["ok"] is False
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, "nan", "inf"])
+    def test_non_finite_time_is_a_structured_error(self, t):
+        engine = OrchestrationEngine(ServeConfig())
+        response = engine.handle({"op": "inference", "hive": 0, "t": t})
+        assert response["ok"] is False and "non-finite" in response["error"]
+        assert engine._last_t is None
+        assert engine.n_errored == 1
 
 
 class TestPropertyNets:
