@@ -1,11 +1,9 @@
-"""Microbenchmark guard for the specialized ``Engine.run`` event loops.
+"""Microbenchmark guard for the ``Engine.run`` event loop.
 
-``Engine.run`` hoists the pool / clock-check / backend conditionals out of
-the hot loop and dispatches to one of four specialized loops (heap-plain,
-heap-pooled, heap-checked, wheel).  Each loop is timed here on the same
-timeout-heavy workload so a regression in any single path shows up in
-pytest-benchmark's comparison tables; every variant must also agree on the
-final clock and event count, which pins the dispatch itself.
+One heap loop serves plain, pooled and clock-checked engines.  Each
+configuration is timed here on the same timeout-heavy workload so a
+regression in any of them shows up in pytest-benchmark's comparison tables;
+every configuration must also agree on the final clock and event count.
 """
 
 import pytest
@@ -36,19 +34,18 @@ VARIANTS = {
     "heap-plain": {},
     "heap-pooled": {"pool_timeouts": True},
     "heap-checked": {"check_clock": True, "pool_timeouts": True},
-    "wheel": {"queue": "wheel", "pool_timeouts": True},
 }
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_engine_run_loop(benchmark, variant):
-    """Time one specialized run loop on the shared timeout workload."""
+    """Time one engine configuration on the shared timeout workload."""
     eng = benchmark(_churn, **VARIANTS[variant])
     assert eng.events_fired >= EXPECTED_EVENTS
 
 
 def test_variants_agree():
-    """All four loops drain the same workload to identical end states."""
+    """All three configurations drain the same workload to identical end states."""
     engines = {name: _churn(**kwargs) for name, kwargs in VARIANTS.items()}
     baseline = engines["heap-plain"]
     for name, eng in engines.items():

@@ -145,11 +145,9 @@ def fleet_wake_offsets(
 def server_process(engine, device, occupancies, profile, slot_dur, losses, n_cycles, period):
     """Generator driving one always-on server through its slot timeline.
 
-    Shared by the per-client, cohort, and SoA-array kernels: a server only
-    ever waits on its own timeouts, so its charge sequence is independent of
-    which client kernel runs alongside it — the ledgers come out
-    float-identical on a dedicated engine (:mod:`repro.core.dessim_array`
-    relies on this).
+    Shared by the per-client and cohort kernels: a server only ever waits
+    on its own timeouts, so its charge sequence is independent of which
+    client kernel runs alongside it.
     """
     for cycle in range(n_cycles):
         base = cycle * period
@@ -201,7 +199,6 @@ def run_des_fleet(
     cohort: bool = False,
     validate: Optional[bool] = None,
     obs=None,
-    engine_queue: str = "heap",
 ):
     """Replay ``n_cycles`` of the scenario event by event.
 
@@ -235,10 +232,6 @@ def run_des_fleet(
 
     ``n_clients=0`` is well-defined: an empty fleet drains instantly and
     returns empty ledgers with zero energy.
-
-    ``engine_queue`` selects the event-list backend (``"heap"`` or
-    ``"wheel"``); the two produce identical event orders and therefore
-    identical ledgers (see :mod:`repro.des.wheel`).
     """
     if faults is not None and faults.any_active:
         from repro.faults.desfaults import run_des_faulty_fleet
@@ -264,7 +257,7 @@ def run_des_fleet(
     if losses.client_loss is not None:
         raise ValueError("run_des_fleet does not support loss model C (client dropout)")
 
-    engine = Engine(pool_timeouts=True, queue=engine_queue)
+    engine = Engine(pool_timeouts=True)
     horizon = n_cycles * period
     tasks = list(scenario.client.active_tasks)
     if scenario.client.active_tasks.total_duration > period:

@@ -30,16 +30,42 @@ cycle by cycle.  Each cycle:
 With ``FaultConfig.none()`` every step above is the identity, so the result
 is bit-for-bit the ideal §VI-B simulation.  All granularity compromises are
 per-cycle: a server is "down for the cycle" if its outage intersects it.
+
+Two slot geometries
+-------------------
+The accounting above exists once.  Where each client sits in the cycle —
+its server, its slot and so its upload time — comes from one of two
+geometries, picked from the filling policy:
+
+* :class:`_FirstFitSlots`, the closed form of the paper's first-fit policy
+  (the default, and what every production caller runs).  It visits only the
+  clients a fault window can touch, so a cycle costs O(faults + servers)
+  instead of O(clients).
+* :class:`_AllocationSlots`, the policy's own per-cycle
+  :class:`~repro.core.allocator.Allocation` and
+  :func:`~repro.core.allocator.repack_failed_servers`.  It serves the other
+  placement policies and is the oracle the closed form is tested against.
+
+Both hand the accounting the same operands in the same order, so a
+first-fit run is bit-identical under either (the ``faulty-array`` golden and
+a hypothesis property pin this, monitor report and buffer ledger included).
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.allocator import Allocation, Allocator, FillingPolicy, repack_failed_servers
+from repro.core.allocator import (
+    Allocator,
+    FillingPolicy,
+    FirstFitPolicy,
+    repack_failed_servers,
+)
 from repro.core.calibration import CYCLE_SECONDS, PAPER, PaperConstants
 from repro.core.client import fallback_extra_energy
 from repro.core.losses import LossConfig
@@ -139,6 +165,227 @@ def _retries_until(up_at: float, attempt_times: List[float]) -> Optional[int]:
     return None
 
 
+def _rasterize(schedule: FaultSchedule, kind: str, period: float, n_cycles: int):
+    """Per-cycle sorted target lists for every window of ``kind``.
+
+    Exactness: a window is attached to cycle ``c`` iff it overlaps
+    ``[c·period, (c+1)·period)`` under the schedule's own predicate and
+    floats, so membership here *is* ``down_during`` — and any point query
+    ``covers(t)`` with ``t`` inside the cycle implies overlap, so the lists
+    are complete for ``is_down`` probes too.
+    """
+    per_cycle = [set() for _ in range(n_cycles)]
+    for target in schedule.targets(kind):
+        for w in schedule.windows_for(kind, target):
+            lo = 0 if not math.isfinite(w.start) else max(int(w.start // period) - 1, 0)
+            hi = (
+                n_cycles
+                if not math.isfinite(w.end)
+                else min(int(w.end // period) + 2, n_cycles)
+            )
+            for c in range(lo, hi):
+                if w.overlaps(c * period, (c + 1) * period):
+                    per_cycle[c].add(target)
+    return [sorted(s) for s in per_cycle]
+
+
+class _FirstFitSlots:
+    """Closed-form first-fit geometry.
+
+    First-fit packs the connected cohort in ascending id order, so a
+    client's place is arithmetic on its rank among the packed clients:
+    ``rank = cid − |removed below cid|`` (one bisect on the sparse removed
+    list), ``server = rank // capacity``, ``slot = (rank % capacity) //
+    max_parallel``.  Failover is structural too: only the last (boundary)
+    server can have spare capacity, so the orphans of downed servers fill
+    it in ``down`` order and their placements, the repacked occupancies and
+    every upload time follow from counts alone.  Each fault window is
+    mapped once to the cycles it can touch (:func:`_rasterize`), and only
+    those clients are ever visited.
+    """
+
+    def __init__(self, schedule: FaultSchedule, n_clients: int, n_cycles: int,
+                 period: float, allocator: Optional[Allocator]) -> None:
+        self.n_clients = n_clients
+        self.plan = allocator.plan if allocator is not None else None
+        self.by_cycle = {
+            kind: _rasterize(schedule, kind, period, n_cycles)
+            for kind in (CLIENT_CRASH, SERVER_OUTAGE, LINK_BLACKOUT,
+                         LINK_DEGRADATION, LINK_OUTAGE)
+        }
+
+    def crashed(self, cycle: int, t0: float, t1: float) -> List[int]:
+        self.cycle, self.t0 = cycle, t0
+        return self.by_cycle[CLIENT_CRASH][cycle]
+
+    def pack(self, removed: Iterable[int]) -> None:
+        self.removed = sorted(removed)
+        self.removed_set = set(self.removed)
+        cap = self.plan.capacity
+        n_packed = self.n_clients - len(self.removed)
+        self.n_srv = -(-n_packed // cap)
+        self.c_bound = n_packed - (self.n_srv - 1) * cap if self.n_srv else 0
+
+    def _rank(self, cid: int) -> int:
+        return cid - bisect_left(self.removed, cid)
+
+    def _upload_t(self, slot_idx: int) -> float:
+        return self.t0 + slot_idx * self.plan.slot_duration
+
+    def _home_slot(self, rank: int) -> int:
+        return (rank % self.plan.capacity) // self.plan.max_parallel
+
+    def _count(self, s: int) -> int:
+        return self.c_bound if s == self.n_srv - 1 else self.plan.capacity
+
+    def outage_probes(self):
+        for cid in self.by_cycle[LINK_OUTAGE][self.cycle]:
+            if cid not in self.removed_set:
+                yield cid, self._upload_t(self._home_slot(self._rank(cid)))
+
+    def down_servers(self) -> List[int]:
+        return [s for s in self.by_cycle[SERVER_OUTAGE][self.cycle] if s < self.n_srv]
+
+    def fail_over(self, down: List[int]) -> Tuple[int, int]:
+        self.down_set = set(down)
+        self.orphan_base: Dict[int, int] = {}
+        n_orphans = 0
+        for s in down:
+            self.orphan_base[s] = n_orphans
+            n_orphans += self._count(s)
+        boundary_up = self.n_srv > 0 and (self.n_srv - 1) not in self.down_set
+        spare = (self.plan.capacity - self.c_bound) if boundary_up else 0
+        self.n_placed = min(n_orphans, spare)
+        return n_orphans, self.n_placed
+
+    def link_probes(self):
+        cand = self.by_cycle[LINK_BLACKOUT][self.cycle]
+        degraded = self.by_cycle[LINK_DEGRADATION][self.cycle]
+        if degraded:
+            cand = sorted(set(cand) | set(degraded))
+        cap = self.plan.capacity
+        for cid in cand:
+            if cid in self.removed_set:
+                continue
+            r = self._rank(cid)
+            if r // cap not in self.down_set:
+                yield cid, self._upload_t(self._home_slot(r))
+
+    def uploads(self, cids: Iterable[int]) -> List[Tuple[int, float]]:
+        cap = self.plan.capacity
+        out = []
+        for cid in cids:
+            if cid in self.removed_set:
+                continue
+            r = self._rank(cid)
+            s = r // cap
+            if s not in self.down_set:
+                out.append((cid, self._upload_t(self._home_slot(r))))
+                continue
+            o = self.orphan_base[s] + (r - s * cap)  # orphan ordinal
+            if o < self.n_placed:
+                slot_idx = (self.c_bound + o) // self.plan.max_parallel
+                out.append((cid, self._upload_t(slot_idx)))
+        return out
+
+    def occupancies(self):
+        p = self.plan.max_parallel
+        full = (p,) * self.plan.slots_per_cycle
+        last = self.n_srv - 1
+        for s in range(self.n_srv):
+            if s in self.down_set:
+                continue
+            if s == last:
+                n, r = divmod(self.c_bound + self.n_placed, p)
+                yield (p,) * n + ((r,) if r else ())
+            else:
+                yield full
+
+
+class _AllocationSlots:
+    """Per-client geometry: the policy's own ``Allocation`` every cycle.
+
+    Serves every filling policy.  It probes every client of every slot and
+    fails over through :func:`repack_failed_servers`, which makes it the
+    oracle the closed form is tested against.
+    """
+
+    def __init__(self, schedule: FaultSchedule, n_clients: int, n_cycles: int,
+                 period: float, allocator: Optional[Allocator]) -> None:
+        self.schedule = schedule
+        self.n_clients = n_clients
+        self.allocator = allocator
+        # Clients with at least one compiled outage window: an always_up
+        # pattern compiles none, and the per-slot probing is skipped
+        # outright — an armed-but-idle schedule must cost (almost) nothing.
+        self.outage_clients = frozenset(
+            cid for cid in range(n_clients) if schedule.windows_for(LINK_OUTAGE, cid)
+        )
+
+    def crashed(self, cycle: int, t0: float, t1: float) -> List[int]:
+        self.t0, self.t1 = t0, t1
+        down_during = self.schedule.down_during
+        return [cid for cid in range(self.n_clients) if down_during(CLIENT_CRASH, cid, t0, t1)]
+
+    def pack(self, removed: Iterable[int]) -> None:
+        removed = set(removed)
+        packed = [cid for cid in range(self.n_clients) if cid not in removed]
+        self.allocation = self.allocator.policy.allocate(packed, self.allocator.plan)
+
+    def _slots(self):
+        """``(cid, upload time)`` for every packed client, in slot order."""
+        slot_dur = self.allocator.plan.slot_duration
+        for srv in self.allocation.servers:
+            for slot_idx, slot in enumerate(srv.slots):
+                upload_t = self.t0 + slot_idx * slot_dur
+                for cid in slot:
+                    yield cid, upload_t
+
+    def outage_probes(self):
+        if not self.outage_clients:
+            return ()
+        return ((cid, t) for cid, t in self._slots() if cid in self.outage_clients)
+
+    def down_servers(self) -> List[int]:
+        return [
+            srv.server_index
+            for srv in self.allocation.servers
+            if self.schedule.down_during(SERVER_OUTAGE, srv.server_index, self.t0, self.t1)
+        ]
+
+    def fail_over(self, down: List[int]) -> Tuple[int, int]:
+        down_set = set(down)
+        self.orphans = frozenset(
+            cid
+            for srv in self.allocation.servers
+            if srv.server_index in down_set
+            for slot in srv.slots
+            for cid in slot
+        )
+        if not down:
+            return 0, 0
+        self.allocation, left = repack_failed_servers(self.allocation, down)
+        return len(self.orphans), len(self.orphans) - len(left)
+
+    def link_probes(self):
+        return ((cid, t) for cid, t in self._slots() if cid not in self.orphans)
+
+    def uploads(self, cids: Iterable[int]) -> List[Tuple[int, float]]:
+        upload_at = dict(self._slots())
+        return [(cid, upload_at[cid]) for cid in cids if cid in upload_at]
+
+    def occupancies(self):
+        return (tuple(srv.occupancies) for srv in self.allocation.servers)
+
+
+def _slot_geometry(policy: Optional[FillingPolicy]) -> type:
+    """The closed form encodes first-fit packing; any other policy gets its
+    own per-cycle ``Allocation``."""
+    if policy is None or isinstance(policy, FirstFitPolicy):
+        return _FirstFitSlots
+    return _AllocationSlots
+
+
 def run_faulty_fleet(
     n_clients: int,
     scenario: Scenario,
@@ -151,15 +398,12 @@ def run_faulty_fleet(
     constants: PaperConstants = PAPER,
     validate: Optional[bool] = None,
     obs=None,
-    kernel: str = "auto",
 ) -> FaultyFleetResult:
     """Replay ``n_cycles`` of the scenario under explicit fault processes.
 
-    ``kernel`` selects the implementation: ``"scalar"`` is the reference
-    per-client loop below; ``"array"`` is the closed-form kernel in
-    :mod:`repro.faults.fleetsim_array` (bit-identical, but requires the
-    first-fit filling policy); ``"auto"`` (default) picks the array kernel
-    whenever the policy allows it.
+    The first-fit policy (``policy=None``, the default) runs on the closed-form
+    slot geometry; every other policy on its own per-cycle ``Allocation``
+    (see the module docstring).
 
     ``losses`` may carry loss A/B (they price saturation and transfer
     stretch exactly as in the ideal model — including on failover-repacked
@@ -188,22 +432,6 @@ def run_faulty_fleet(
             "pass FaultConfig(client_crash=ClientCrash.from_client_loss(...)) "
             "instead of LossConfig(client_loss=...)"
         )
-    if kernel not in ("auto", "scalar", "array"):
-        raise ValueError(f"unknown kernel {kernel!r}: expected auto, scalar, or array")
-    if kernel != "scalar":
-        from repro.core.allocator import FirstFitPolicy
-
-        first_fit = policy is None or isinstance(policy, FirstFitPolicy)
-        if kernel == "array" and not first_fit:
-            raise ValueError("kernel='array' requires the first-fit filling policy")
-        if first_fit:
-            from repro.faults.fleetsim_array import run_faulty_fleet_array
-
-            return run_faulty_fleet_array(
-                n_clients, scenario, faults, n_cycles=n_cycles, period=period,
-                losses=losses, policy=policy, seed=seed, constants=constants,
-                validate=validate, obs=obs,
-            )
 
     horizon = n_cycles * period
     client = scenario.client
@@ -220,6 +448,7 @@ def run_faulty_fleet(
     schedule = faults.compile(
         horizon, n_servers=n_server_targets, n_clients=n_clients, seed=seed
     )
+    geo = _slot_geometry(policy)(schedule, n_clients, n_cycles, period, allocator)
 
     retry = faults.retry
     send_task = None
@@ -233,16 +462,6 @@ def run_faulty_fleet(
     outage_on = faults.link_outage is not None and not scenario.is_edge_only
     buf_spec = faults.buffer_spec()
     buffers: Dict[int, EdgeBuffer] = {}
-    # Clients with at least one compiled outage window: an always_up pattern
-    # compiles none, and the per-slot probing below is skipped outright —
-    # an armed-but-idle schedule must cost (almost) nothing.
-    outage_clients = (
-        frozenset(
-            cid for cid in range(n_clients) if schedule.windows_for(LINK_OUTAGE, cid)
-        )
-        if outage_on
-        else frozenset()
-    )
     buffered_infer_j = (
         fallback_extra_energy(client, fallback_model, constants) if outage_on else 0.0
     )
@@ -264,6 +483,22 @@ def run_faulty_fleet(
 
         local = PhaseLedger()
 
+    # A fleet has few distinct occupancy profiles per cycle (first-fit: full
+    # and boundary), so each is priced once.
+    priced_occ: Dict[tuple, float] = {}
+
+    def priced(occ: tuple) -> float:
+        e = priced_occ.get(occ)
+        if e is None:
+            e = priced_occ[occ] = server_cycle_energy(
+                scenario.server,
+                list(occ),
+                period=period,
+                sizing_extra_s=allocator.sizing_extra_s,
+                losses=losses,
+            )
+        return e
+
     edge_e = np.zeros(n_cycles)
     server_e = np.zeros(n_cycles)
     retry_e = np.zeros(n_cycles)
@@ -279,13 +514,8 @@ def run_faulty_fleet(
         t0, t1 = cycle * period, (cycle + 1) * period
         mon.expect_cycle(n_clients)
 
-        crashed = [
-            cid
-            for cid in range(n_clients)
-            if schedule.down_during(CLIENT_CRASH, cid, t0, t1)
-        ]
-        active_ids = [cid for cid in range(n_clients) if cid not in set(crashed)]
-        n_active = len(active_ids)
+        crashed = geo.crashed(cycle, t0, t1)
+        n_active = n_clients - len(crashed)
         active_arr[cycle] = n_active
         mon.record_outcome(OUTCOME_MISSED, len(crashed))
 
@@ -297,8 +527,7 @@ def run_faulty_fleet(
             continue
 
         assert allocator is not None and send_task is not None
-        allocation: Allocation = allocator.policy.allocate(active_ids, allocator.plan)
-        slot_dur = allocator.plan.slot_duration
+        geo.pack(crashed)
         t_rx_base = scenario.server.transfer_s
 
         # Scheduled connectivity outages: the client *knows* the modem is
@@ -308,21 +537,14 @@ def run_faulty_fleet(
         # to local edge inference.  The allocator then releases those slots
         # by re-packing only the connected cohort (automatic re-admission
         # next cycle, since allocation is per-cycle).
-        out_pairs: List[Tuple[int, float]] = []
-        if outage_clients:
-            for srv in allocation.servers:
-                for slot_idx, slot in enumerate(srv.slots):
-                    upload_t = t0 + slot_idx * slot_dur
-                    for cid in slot:
-                        if cid in outage_clients and schedule.is_down(
-                            LINK_OUTAGE, cid, upload_t
-                        ):
-                            out_pairs.append((cid, upload_t))
+        out_pairs = [
+            (cid, upload_t)
+            for cid, upload_t in geo.outage_probes()
+            if schedule.is_down(LINK_OUTAGE, cid, upload_t)
+        ]
         n_out = len(out_pairs)
         if n_out:
-            out_set = {cid for cid, _ in out_pairs}
-            connected = [cid for cid in active_ids if cid not in out_set]
-            allocation = allocator.policy.allocate(connected, allocator.plan)
+            geo.pack(crashed + [cid for cid, _ in out_pairs])
             for cid, up_t in out_pairs:
                 outcome = buffers.setdefault(cid, EdgeBuffer(buf_spec)).offer(up_t)
                 if outcome == BLOCKED:
@@ -342,116 +564,88 @@ def run_faulty_fleet(
                     local, client, weight=n_out, skip_tasks=("send_audio",)
                 )
 
-        down = [
-            srv.server_index
-            for srv in allocation.servers
-            if schedule.down_during(SERVER_OUTAGE, srv.server_index, t0, t1)
-        ]
-        down_arr[cycle] = len(down)
-
         # Failover: strip *all* downed servers first, then repack their
         # clients into the true survivors.  (Repacking one failure at a
         # time could land an orphan on another server that is itself down,
         # double-counting that client's cycle and pushing availability
         # above 1.0.)
-        orphans_total: List[int] = []
-        unplaced: List[int] = []
-        placed: List[int] = []
-        down_present = [
-            sidx for sidx in down if sidx in {s.server_index for s in allocation.servers}
-        ]
-        if down_present:
-            orphans_total = [
-                cid
-                for srv in allocation.servers
-                if srv.server_index in set(down_present)
-                for slot in srv.slots
-                for cid in slot
-            ]
-            allocation, left = repack_failed_servers(allocation, down_present)
-            unplaced = list(left)
-            placed = [cid for cid in orphans_total if cid not in set(left)]
+        down = geo.down_servers()
+        down_arr[cycle] = len(down)
+        n_orphans, n_placed = geo.fail_over(down)
+        n_unplaced = n_orphans - n_placed
 
         # Every orphan burned its full retry budget against its dead server.
-        if orphans_total:
+        if n_orphans:
             burn = retry.exhausted_energy_j(send_task.power)
-            retry_e[cycle] += burn * len(orphans_total)
-            mon.charge_retry(burn * len(orphans_total))
-            mon.record_attempts((1 + retry.max_retries) * len(orphans_total))
+            retry_e[cycle] += burn * n_orphans
+            mon.charge_retry(burn * n_orphans)
+            mon.record_attempts((1 + retry.max_retries) * n_orphans)
             if retry.timeout_s > 0:
-                mon.record_timeout_attempts((1 + retry.max_retries) * len(orphans_total))
-        if placed:
-            extra = send_task.energy * len(placed)
+                mon.record_timeout_attempts((1 + retry.max_retries) * n_orphans)
+        if n_placed:
+            extra = send_task.energy * n_placed
             failover_e[cycle] += extra
             mon.charge_failover(extra)
-            mon.record_attempts(len(placed))
-            mon.record_outcome(OUTCOME_FAILOVER, len(placed))
-        if unplaced:
+            mon.record_attempts(n_placed)
+            mon.record_outcome(OUTCOME_FAILOVER, n_placed)
+        if n_unplaced:
             if faults.fallback:
                 per = fallback_extra_energy(client, fallback_model, constants)
-                fallback_e[cycle] += per * len(unplaced)
-                mon.charge_fallback(per * len(unplaced))
-                mon.record_outcome(OUTCOME_FALLBACK, len(unplaced))
+                fallback_e[cycle] += per * n_unplaced
+                mon.charge_fallback(per * n_unplaced)
+                mon.record_outcome(OUTCOME_FALLBACK, n_unplaced)
             else:
-                mon.record_outcome(OUTCOME_MISSED, len(unplaced))
+                mon.record_outcome(OUTCOME_MISSED, n_unplaced)
 
         # Link faults for clients whose home server survived.
-        orphan_set = set(orphans_total)
         n_retried = 0
         n_link_fallback = 0
         n_link_missed = 0
-        upload_at: Dict[int, float] = {}
         link_failed: set = set()
-        for srv in allocation.servers:
-            for slot_idx, slot in enumerate(srv.slots):
-                upload_t = t0 + slot_idx * slot_dur
-                for cid in slot:
-                    upload_at[cid] = upload_t
-                    if cid in orphan_set:
-                        continue
-                    if schedule.is_down(LINK_BLACKOUT, cid, upload_t):
-                        window = schedule.active_window(LINK_BLACKOUT, cid, upload_t)
-                        attempt_times = [upload_t]
-                        t = upload_t
-                        for i in range(retry.max_retries):
-                            t += retry.timeout_s + retry.nominal_delay_s(i)
-                            attempt_times.append(t)
-                        rec = _retries_until(window.end, attempt_times)
-                        if rec is not None:
-                            burn = rec * retry.attempt_energy_j(send_task.power)
-                            retry_e[cycle] += burn
-                            mon.charge_retry(burn)
-                            mon.record_attempts(rec + 1)  # rec timeouts + the success
-                            if retry.timeout_s > 0:
-                                mon.record_timeout_attempts(rec)
-                            n_retried += 1
-                        else:
-                            burn = retry.exhausted_energy_j(send_task.power)
-                            retry_e[cycle] += burn
-                            mon.charge_retry(burn)
-                            mon.record_attempts(1 + retry.max_retries)
-                            if retry.timeout_s > 0:
-                                mon.record_timeout_attempts(1 + retry.max_retries)
-                            link_failed.add(cid)
-                            if faults.fallback:
-                                per = fallback_extra_energy(client, fallback_model, constants)
-                                fallback_e[cycle] += per
-                                mon.charge_fallback(per)
-                                n_link_fallback += 1
-                                mon.record_outcome(OUTCOME_FALLBACK)
-                            else:
-                                n_link_missed += 1
-                                mon.record_outcome(OUTCOME_MISSED)
-                    elif schedule.is_down(LINK_DEGRADATION, cid, upload_t):
-                        window = schedule.active_window(LINK_DEGRADATION, cid, upload_t)
-                        stretch = 1.0 / window.severity
-                        extra = send_task.power * t_rx_base * (stretch - 1.0)
-                        degradation_e[cycle] += extra
-                        mon.charge_degradation(extra)
+        for cid, upload_t in geo.link_probes():
+            if schedule.is_down(LINK_BLACKOUT, cid, upload_t):
+                window = schedule.active_window(LINK_BLACKOUT, cid, upload_t)
+                attempt_times = [upload_t]
+                t = upload_t
+                for i in range(retry.max_retries):
+                    t += retry.timeout_s + retry.nominal_delay_s(i)
+                    attempt_times.append(t)
+                rec = _retries_until(window.end, attempt_times)
+                if rec is not None:
+                    burn = rec * retry.attempt_energy_j(send_task.power)
+                    retry_e[cycle] += burn
+                    mon.charge_retry(burn)
+                    mon.record_attempts(rec + 1)  # rec timeouts + the success
+                    if retry.timeout_s > 0:
+                        mon.record_timeout_attempts(rec)
+                    n_retried += 1
+                else:
+                    burn = retry.exhausted_energy_j(send_task.power)
+                    retry_e[cycle] += burn
+                    mon.charge_retry(burn)
+                    mon.record_attempts(1 + retry.max_retries)
+                    if retry.timeout_s > 0:
+                        mon.record_timeout_attempts(1 + retry.max_retries)
+                    link_failed.add(cid)
+                    if faults.fallback:
+                        per = fallback_extra_energy(client, fallback_model, constants)
+                        fallback_e[cycle] += per
+                        mon.charge_fallback(per)
+                        n_link_fallback += 1
+                        mon.record_outcome(OUTCOME_FALLBACK)
+                    else:
+                        n_link_missed += 1
+                        mon.record_outcome(OUTCOME_MISSED)
+            elif schedule.is_down(LINK_DEGRADATION, cid, upload_t):
+                window = schedule.active_window(LINK_DEGRADATION, cid, upload_t)
+                stretch = 1.0 / window.severity
+                extra = send_task.power * t_rx_base * (stretch - 1.0)
+                degradation_e[cycle] += extra
+                mon.charge_degradation(extra)
 
         # Remaining survivors uploaded first-try.
         n_served = (
-            n_active - n_out - len(orphans_total)
+            n_active - n_out - n_orphans
             - n_retried - n_link_fallback - n_link_missed
         )
         mon.record_attempts(max(n_served, 0))  # first-try uploads
@@ -463,25 +657,21 @@ def run_faulty_fleet(
         # draining through the shared AP, processor sharing stretches each
         # payload's airtime ×k on the client side while the server receives
         # the k streams in parallel — its per-payload receive marginal stays
-        # at the base transfer time.
+        # at the base transfer time.  Only clients holding a slot after the
+        # repack drain (an unplaced orphan has no server this cycle).
         drain_server_j = 0.0
         n_drained = 0
         if outage_on and buffers:
-            alive_servers = {s.server_index for s in allocation.servers} - set(down)
-            drainers = [
+            drainers = geo.uploads(
                 cid
-                for cid in sorted(upload_at)
-                if cid not in link_failed
-                and cid not in set(unplaced)
-                and cid in buffers
-                and buffers[cid].resident_payloads > 0
-            ]
-            if alive_servers and drainers:
+                for cid in sorted(buffers)
+                if cid not in link_failed and buffers[cid].resident_payloads > 0
+            )
+            if drainers:
                 k = len(drainers)
                 quota = buf_spec.drain_quota_for(send_task.duration, contenders=k)
-                for cid in drainers:
-                    done_t = upload_at[cid] + send_task.duration
-                    payloads = buffers[cid].drain(done_t, quota)
+                for cid, upload_t in drainers:
+                    payloads = buffers[cid].drain(upload_t + send_task.duration, quota)
                     if not payloads:
                         continue
                     n = len(payloads)
@@ -498,26 +688,18 @@ def run_faulty_fleet(
 
         # Server-side energy: survivors serve their (possibly repacked)
         # occupancies; downed servers draw idle only outside their windows.
-        surviving = {s.server_index for s in allocation.servers} - set(down)
         energy = 0.0
-        for srv in allocation.servers:
-            if srv.server_index in surviving:
-                energy += server_cycle_energy(
+        for occ in geo.occupancies():
+            energy += priced(occ)
+            if local is not None:
+                attribute_server_cycle(
+                    local,
                     scenario.server,
-                    srv.occupancies,
+                    list(occ),
                     period=period,
                     sizing_extra_s=allocator.sizing_extra_s,
                     losses=losses,
                 )
-                if local is not None:
-                    attribute_server_cycle(
-                        local,
-                        scenario.server,
-                        srv.occupancies,
-                        period=period,
-                        sizing_extra_s=allocator.sizing_extra_s,
-                        losses=losses,
-                    )
         for sidx in down:
             overlap = sum(
                 max(0.0, min(w.end, t1) - max(w.start, t0))

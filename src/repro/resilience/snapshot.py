@@ -197,7 +197,6 @@ def snapshot_engine(engine) -> Dict[str, Any]:
         "pool_cap": int(engine._pool_cap),
         "check_clock": bool(engine._check_clock),
         "pool_len": len(engine._pool),
-        "queue": engine.queue_kind,
         "heap": heap,
     }
 
@@ -232,7 +231,6 @@ def restore_engine(snap: Dict[str, Any]):
         pool_timeouts=snap["pool_timeouts"],
         pool_cap=snap["pool_cap"],
         check_clock=snap["check_clock"],
-        queue=snap.get("queue", "heap"),
     )
     engine._counter = int(snap["counter"])
     engine._active = int(snap["active"])
@@ -241,15 +239,12 @@ def restore_engine(snap: Dict[str, Any]):
         (rec["time"], rec["priority"], rec["seq"], _decode_event(rec["event"], engine))
         for rec in snap["heap"]
     ]
-    if engine.queue_kind == "wheel":
-        for entry in entries:
-            engine._queue.push(entry)
-    else:
-        # Entries were captured in internal heap order, so the restored list
-        # is already a valid binary heap: no re-heapify, no reordering of
-        # equal keys.  (A wheel snapshot's entries come fully sorted, which
-        # is also a valid heap — the two backends' snapshots interchange.)
-        engine._queue = entries
+    # Entries were captured in internal heap order, so the restored list is
+    # already a valid binary heap: no re-heapify, no reordering of equal
+    # keys.  A legacy snapshot's "queue" field is ignored: one taken from the
+    # retired calendar-queue backend lists its entries fully sorted, which
+    # is also a valid heap.
+    engine._queue = entries
     engine._pool = [_dead_timeout(engine) for _ in range(int(snap["pool_len"]))]
     return engine
 

@@ -239,42 +239,16 @@ def _case_faulty_analytic() -> Dict[str, Any]:
     return fp
 
 
-def _case_des_array() -> Dict[str, Any]:
-    """The SoA per-client kernel and the calendar-queue engine must both be
-    bit-identical to the heap-engine scalar DES before anything is pinned."""
-    from repro.core.dessim import run_des_fleet
-    from repro.core.dessim_array import run_des_fleet_array
-    from repro.core.routines import EDGE_CLOUD_SVM
-
-    scalar = run_des_fleet(37, EDGE_CLOUD_SVM, n_cycles=2, validate=True)
-    wheel = run_des_fleet(
-        37, EDGE_CLOUD_SVM, n_cycles=2, validate=True, engine_queue="wheel"
-    )
-    array = run_des_fleet_array(37, EDGE_CLOUD_SVM, n_cycles=2, validate=True)
-    for other, name in ((wheel, "wheel"), (array, "array")):
-        if (
-            other.edge_energy_j != scalar.edge_energy_j
-            or other.server_energy_j != scalar.server_energy_j
-        ):
-            raise RuntimeError(f"{name} DES kernel energies diverged from heap scalar")
-        for a, b in zip(scalar.client_accounts, other.client_accounts):
-            if a._totals != b._totals or a._durations != b._durations:
-                raise RuntimeError(f"{name} DES kernel client ledgers diverged")
-        for a, b in zip(scalar.server_accounts, other.server_accounts):
-            if a._totals != b._totals:
-                raise RuntimeError(f"{name} DES kernel server ledgers diverged")
-    fp = _des_common(array)
-    fp["client0"] = account_fingerprint(array.client_accounts[0])
-    fp["server0"] = account_fingerprint(array.server_accounts[0])
-    return fp
-
-
 def _case_faulty_array() -> Dict[str, Any]:
-    """The closed-form faulty kernel must match the scalar reference exactly
-    (ledgers, monitor report and buffer ledger) before its pin is taken."""
+    """The closed-form first-fit geometry must match the per-client
+    ``Allocation`` geometry exactly (ledgers, monitor report and buffer
+    ledger) before its pin is taken."""
+    from unittest import mock
+
     import numpy as np
 
     from repro.core.routines import make_scenario
+    from repro.faults import fleetsim
     from repro.faults.config import FaultConfig
     from repro.faults.fleetsim import run_faulty_fleet
     from repro.faults.spec import ClientCrash, LinkBlackout, ServerOutage
@@ -290,29 +264,32 @@ def _case_faulty_array() -> Dict[str, Any]:
         buffer=BufferSpec.for_cycles(4),
     )
     kwargs = dict(faults=faults, n_cycles=24, seed=9, validate=True)
-    scalar = run_faulty_fleet(60, scenario, kernel="scalar", **kwargs)
-    array = run_faulty_fleet(60, scenario, kernel="array", **kwargs)
+    closed = run_faulty_fleet(60, scenario, **kwargs)
+    with mock.patch.object(
+        fleetsim, "_slot_geometry", lambda policy: fleetsim._AllocationSlots
+    ):
+        oracle = run_faulty_fleet(60, scenario, **kwargs)
     for field in (
         "edge_energy_j", "server_energy_j", "retry_energy_j", "failover_energy_j",
         "fallback_energy_j", "degradation_energy_j", "buffered_energy_j",
         "drain_energy_j", "n_active", "n_servers_down",
     ):
-        if not np.array_equal(getattr(array, field), getattr(scalar, field)):
-            raise RuntimeError(f"array faulty kernel diverged from scalar on {field}")
-    if array.report != scalar.report or array.buffer_report != scalar.buffer_report:
-        raise RuntimeError("array faulty kernel report diverged from scalar")
-    fp = _faulty_common(array)
+        if not np.array_equal(getattr(closed, field), getattr(oracle, field)):
+            raise RuntimeError(f"closed-form faulty geometry diverged on {field}")
+    if closed.report != oracle.report or closed.buffer_report != oracle.buffer_report:
+        raise RuntimeError("closed-form faulty geometry report diverged")
+    fp = _faulty_common(closed)
     fp.update(
         {
-            "n_clients": array.n_clients,
-            "n_cycles": array.n_cycles,
-            "total_energy_j": round_sig(array.total_energy_j),
-            "edge_series_sha256": hash_floats(array.edge_energy_j),
-            "server_series_sha256": hash_floats(array.server_energy_j),
-            "drain_series_sha256": hash_floats(array.drain_energy_j),
-            "delivered_data_fraction": round_sig(array.delivered_data_fraction),
-            "buffer_delivered": array.buffer_report.delivered_payloads,
-            "buffer_dropped": array.buffer_report.dropped_payloads,
+            "n_clients": closed.n_clients,
+            "n_cycles": closed.n_cycles,
+            "total_energy_j": round_sig(closed.total_energy_j),
+            "edge_series_sha256": hash_floats(closed.edge_energy_j),
+            "server_series_sha256": hash_floats(closed.server_energy_j),
+            "drain_series_sha256": hash_floats(closed.drain_energy_j),
+            "delivered_data_fraction": round_sig(closed.delivered_data_fraction),
+            "buffer_delivered": closed.buffer_report.delivered_payloads,
+            "buffer_dropped": closed.buffer_report.dropped_payloads,
         }
     )
     return fp
@@ -409,10 +386,6 @@ def _build_cases() -> Dict[str, Tuple[Callable[[], Dict[str, Any]], str]]:
             "Cohort-aggregated faulty DES (statically-quiet collapse)",
         ),
         "faulty-analytic": (_case_faulty_analytic, "Cycle-level faulty fleet arrays"),
-        "des-array": (
-            _case_des_array,
-            "SoA per-client DES kernel + wheel engine (bit-identical to heap scalar)",
-        ),
         "faulty-array": (
             _case_faulty_array,
             "Closed-form faulty kernel vs scalar reference (bit-identical)",

@@ -24,9 +24,11 @@ class TestLazyCancellation:
         eng.timeout(1.0).cancel()
         live = eng.timeout(2.0, "live")
         live.callbacks.append(lambda e: seen.append(e.value))
+        assert eng.peek() == 1.0  # may name a cancelled entry until it is popped
         eng.step()
         assert seen == ["live"]
         assert eng.now == 2.0
+        assert eng.peek() == float("inf")
 
     def test_cancel_twice_is_noop(self):
         eng = Engine()
@@ -89,7 +91,7 @@ class TestTimeoutPooling:
         assert eng._pool == []
 
     def test_pooled_engine_same_results_as_default(self):
-        def trace(eng):
+        def tickers(eng):
             out = []
 
             def ticker(label, dt):
@@ -102,7 +104,35 @@ class TestTimeoutPooling:
             eng.run(until=20.0)
             return out
 
-        assert trace(Engine()) == trace(Engine(pool_timeouts=True))
+        def cancel_then_resume(eng):
+            # Ties, zero delays and a cancellation, stopped at until= and
+            # resumed: the stop must keep every entry's place in the order.
+            out = []
+
+            def proc(name, delays):
+                for d in delays:
+                    yield eng.timeout(d)
+                    out.append((eng.now, name))
+
+            eng.process(proc("a", [3.0, 0.0, 2.0, 7.5]))
+            eng.process(proc("b", [3.0, 2.0, 0.0, 1.25]))
+            eng.process(proc("c", [0.5] * 8))
+            doomed = eng.timeout(4.0, "doomed")
+            doomed.callbacks.append(lambda e: out.append((eng.now, "doomed")))
+            doomed.cancel()
+            late = eng.timeout(6.0, "late")
+            late.callbacks.append(lambda e: out.append((eng.now, "late")))
+            eng.run(until=4.0)
+            assert eng.now == 4.0 and not eng.drained
+            out.append(("stopped", eng.now))
+            eng.run()
+            return out, eng.now, eng.events_fired
+
+        configs = ({"pool_timeouts": True}, {"check_clock": True, "pool_timeouts": True})
+        for workload in (tickers, cancel_then_resume):
+            expected = workload(Engine())
+            for kw in configs:
+                assert workload(Engine(**kw)) == expected, (workload.__name__, kw)
 
     def test_interrupt_orphans_timeout_for_recycling(self):
         eng = Engine(pool_timeouts=True)

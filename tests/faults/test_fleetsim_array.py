@@ -1,11 +1,16 @@
-"""Vectorized faulty-fleet kernel: bit-identity to the scalar reference.
+"""Closed-form first-fit geometry: bit-identity to the per-client geometry.
 
-The array kernel replays the scalar kernel's float operations in the same
-order, so *everything* must match exactly — per-cycle ledgers, the monitor
-report, attempt counters, and the store-and-forward buffer ledger.
+:func:`run_faulty_fleet` runs a first-fit fleet on the closed-form slot
+geometry and every other policy on the per-client ``Allocation`` geometry.
+Forced onto the per-client geometry through the private ``_slot_geometry``
+hook, a first-fit run hands the shared accounting the same operands in the
+same order, so *everything* must match exactly — per-cycle ledgers, the
+monitor report, attempt counters, and the store-and-forward buffer ledger.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.losses import LossConfig, SaturationPenalty, TransferTimePenalty
 from repro.core.routines import EDGE_SVM, make_scenario
+from repro.faults import fleetsim
 from repro.faults.config import FaultConfig
 from repro.faults.fleetsim import run_faulty_fleet
-from repro.faults.fleetsim_array import run_faulty_fleet_array
 from repro.faults.spec import ClientCrash, LinkBlackout, LinkDegradation, ServerOutage
 from repro.network.buffer import BLOCK, BufferSpec
 from repro.network.outage import OutagePattern
@@ -29,20 +34,20 @@ SERIES = (
 )
 
 
-def assert_faulty_bit_identical(scalar, array):
+def assert_faulty_bit_identical(oracle, closed):
     for field in SERIES:
-        a, s = getattr(array, field), getattr(scalar, field)
+        a, s = getattr(closed, field), getattr(oracle, field)
         if s is None:
             assert a is None
             continue
         assert np.array_equal(a, s), field
-    assert array.report == scalar.report
-    assert array.monitor.send_attempts == scalar.monitor.send_attempts
-    assert array.monitor.timeout_attempts == scalar.monitor.timeout_attempts
-    assert (array.buffer_report is None) == (scalar.buffer_report is None)
-    if scalar.buffer_report is not None:
-        assert array.buffer_report == scalar.buffer_report
-    assert array.total_energy_j == scalar.total_energy_j
+    assert closed.report == oracle.report
+    assert closed.monitor.send_attempts == oracle.monitor.send_attempts
+    assert closed.monitor.timeout_attempts == oracle.monitor.timeout_attempts
+    assert (closed.buffer_report is None) == (oracle.buffer_report is None)
+    if oracle.buffer_report is not None:
+        assert closed.buffer_report == oracle.buffer_report
+    assert closed.total_energy_j == oracle.total_energy_j
 
 
 def golden_faults():
@@ -53,11 +58,19 @@ def golden_faults():
     )
 
 
+def per_client(**kw):
+    """A first-fit run forced onto the per-client ``Allocation`` geometry."""
+    with mock.patch.object(
+        fleetsim, "_slot_geometry", lambda policy: fleetsim._AllocationSlots
+    ):
+        return run_faulty_fleet(**kw)
+
+
 def compare(tag, **kw):
-    scalar = run_faulty_fleet(kernel="scalar", **kw)
-    array = run_faulty_fleet(kernel="array", **kw)
-    assert_faulty_bit_identical(scalar, array)
-    return scalar
+    oracle = per_client(**kw)
+    closed = run_faulty_fleet(**kw)
+    assert_faulty_bit_identical(oracle, closed)
+    return oracle
 
 
 class TestBitIdentity:
@@ -171,45 +184,41 @@ class TestBitIdentity:
 
 
 class TestDispatch:
-    def test_auto_routes_to_array_kernel(self, monkeypatch):
-        import repro.faults.fleetsim_array as mod
-
-        calls = []
-        real = mod.run_faulty_fleet_array
+    def test_first_fit_runs_closed_form(self, monkeypatch):
+        picked = []
+        real = fleetsim._slot_geometry
         monkeypatch.setattr(
-            mod, "run_faulty_fleet_array",
-            lambda *a, **k: calls.append(1) or real(*a, **k),
+            fleetsim, "_slot_geometry",
+            lambda policy: picked.append(real(policy)) or picked[-1],
         )
         run_faulty_fleet(10, CLOUD, faults=golden_faults(), n_cycles=2, seed=0)
-        assert calls
+        assert picked == [fleetsim._FirstFitSlots]
 
-    def test_auto_falls_back_for_custom_policy(self):
-        from repro.core.allocator import RoundRobinPolicy
+    @pytest.mark.parametrize(
+        "policy",
+        ["round-robin", "balanced", "best-fit", "worst-fit", "solar-budget", "swarm-scored"],
+    )
+    def test_auto_falls_back_for_custom_policy(self, policy):
+        from repro.core.allocator import resolve_policy
 
-        res = run_faulty_fleet(
-            12, CLOUD, faults=golden_faults(), n_cycles=2, seed=0,
-            policy=RoundRobinPolicy(),
+        faults = FaultConfig(
+            server_outage=ServerOutage(mtbf_s=900.0, repair_s=240.0),
+            link_blackout=LinkBlackout(mtbf_s=2400.0, repair_s=60.0),
+            client_crash=ClientCrash(mtbf_s=6000.0, repair_s=0.0),
+            link_outage=OutagePattern.duty_cycle(4 * 3600.0, 2 * 3600.0),
+            buffer=BufferSpec.for_cycles(4),
         )
-        assert res.n_clients == 12  # scalar path served the request
-
-    def test_array_rejects_custom_policy(self):
-        from repro.core.allocator import RoundRobinPolicy
-
-        with pytest.raises(ValueError, match="first-fit"):
-            run_faulty_fleet(
-                12, CLOUD, faults=golden_faults(), n_cycles=2, seed=0,
-                policy=RoundRobinPolicy(), kernel="array",
-            )
-        with pytest.raises(ValueError, match="first-fit"):
-            run_faulty_fleet_array(12, CLOUD, policy=RoundRobinPolicy())
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            run_faulty_fleet(5, CLOUD, kernel="simd")
+        pol = resolve_policy(policy)
+        assert fleetsim._slot_geometry(pol) is fleetsim._AllocationSlots
+        res = run_faulty_fleet(
+            60, CLOUD, faults=faults, n_cycles=24, seed=9, policy=pol, validate=True,
+        )
+        assert res.n_clients == 60  # the per-client geometry served the request
+        assert res.report.cycles_failover + res.report.cycles_buffered > 0
 
     def test_rejects_loss_model_c(self):
         from repro.core.losses import ClientLoss
 
         losses = LossConfig(client_loss=ClientLoss(0.1, 0.05))
         with pytest.raises(ValueError, match="ClientCrash"):
-            run_faulty_fleet_array(5, CLOUD, losses=losses)
+            run_faulty_fleet(5, CLOUD, losses=losses)

@@ -115,6 +115,22 @@ class TestFaultPaths:
         _assert_reconciles(obs, r.total_energy_j)
         assert "faulty_fleet" in _span_names(obs)
 
+    def test_analytic_faulty_metrics_are_sim_clock_only(self, cloud, faults):
+        # repro.obs is sim-clock: same-seed runs record equal metrics, and
+        # the slot geometry a policy selects never shows in the metric names.
+        def metrics(policy):
+            obs = Obs()
+            run_faulty_fleet(
+                60, cloud, faults=faults, n_cycles=4, seed=3, policy=policy, obs=obs
+            )
+            return obs.metrics.to_dict()
+
+        first_fit = metrics(None)
+        assert metrics(None) == first_fit
+        round_robin = metrics("round-robin")
+        assert metrics("round-robin") == round_robin
+        assert set(first_fit) == set(round_robin)
+
     def test_analytic_edge_only_reconciles(self):
         edge = make_scenario("edge", "svm")
         obs = Obs()

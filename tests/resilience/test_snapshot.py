@@ -162,6 +162,28 @@ class TestEngineRoundTrip:
         assert [v for _t, v in TRACE] == ["a", "b"]
         TRACE.clear()
 
+    def test_legacy_wheel_snapshot_restores_into_heap(self):
+        # The retired calendar-queue backend wrote ``"queue": "wheel"`` and
+        # its entries fully sorted ascending — already a valid heap, so the
+        # restore ignores the field and drains in the same order.
+        engine = Engine()
+        for i, d in enumerate([1.0, 5.0, 3.0, 5.0, 9.0, 3.0]):
+            engine.timeout(d, i).callbacks.append(trace_cb)
+        engine.run(until=2.0)
+        snap = json.loads(json.dumps(snapshot_engine(engine)))
+        snap["queue"] = "wheel"
+        snap["heap"].sort(key=lambda rec: (rec["time"], rec["priority"], rec["seq"]))
+
+        TRACE.clear()
+        engine.run()
+        original = list(TRACE)
+        restored = restore_engine(snap)
+        TRACE.clear()
+        restored.run()
+        assert list(TRACE) == original == [(3.0, 2), (3.0, 5), (5.0, 1), (5.0, 3), (9.0, 4)]
+        assert restored.events_fired == engine.events_fired
+        TRACE.clear()
+
     def test_failed_defused_event_round_trips(self):
         engine = Engine()
         ev = engine.event()
