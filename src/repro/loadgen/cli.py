@@ -18,6 +18,7 @@ which is how the integration tests assert end-to-end determinism.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional, Sequence
@@ -91,23 +92,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.resume_from_target and args.in_process:
         print("error: --resume-from-target needs an HTTP --target", file=sys.stderr)
         return 2
-    if args.in_process:
-        from repro.serve.engine import OrchestrationEngine
+    with contextlib.ExitStack() as stack:
+        if args.in_process:
+            from repro.serve.engine import OrchestrationEngine
 
-        transport = InProcessTransport(OrchestrationEngine())
-    else:
-        transport = HttpTransport(args.target)
-    skip = args.skip
-    if args.resume_from_target:
-        try:
-            health = transport.health()
-        except OSError as exc:
-            print(f"error: cannot reach target for resume: {exc}", file=sys.stderr)
-            return 1
-        skip = max(skip, int(health.get("offered", 0)))
-        print(f"resuming: target already offered {health.get('offered', 0)} "
-              f"requests, skipping to arrival {skip}", file=sys.stderr)
-    report = replay(spec, transport, skip=skip)
+            transport = InProcessTransport(OrchestrationEngine())
+        else:
+            try:
+                transport = stack.enter_context(HttpTransport(args.target))
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+        skip = args.skip
+        if args.resume_from_target:
+            try:
+                health = transport.health()
+            except OSError as exc:
+                print(f"error: cannot reach target for resume: {exc}", file=sys.stderr)
+                return 1
+            skip = max(skip, int(health.get("offered", 0)))
+            print(f"resuming: target already offered {health.get('offered', 0)} "
+                  f"requests, skipping to arrival {skip}", file=sys.stderr)
+        report = replay(spec, transport, skip=skip)
     payload = {"spec": spec.describe(), "report": report.to_dict(), "skip": skip}
     if args.json_out:
         atomic_write_json(args.json_out, payload, sort_keys=True)

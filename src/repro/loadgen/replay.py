@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import http.client
 import json
-import socket
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Protocol
+from typing import Any, Dict, Iterable, Optional, Protocol, Tuple
 
 from repro.loadgen.arrivals import Arrival, LoadSpec, arrival_to_request, hive_stream, merged_stream
 from repro.serve.engine import OrchestrationEngine
@@ -71,8 +70,23 @@ class InProcessTransport:
         return self.engine.handle(dict(request))
 
 
+#: Connection class per URL scheme :class:`HttpTransport` accepts.
+_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+
+#: What a reused connection raises when the server closed it while it sat idle.
+_DROPPED_WHILE_IDLE = (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)
+
+
 class HttpTransport:
     """POST each request to a running ``repro-serve`` over HTTP.
+
+    Every ``send`` and ``health`` call shares one persistent connection,
+    opened at the first call and reopened after it fails or the server
+    closes it; ``close()`` (or leaving a ``with`` block) releases it.
+    Each response body is read in full, so the connection is always ready
+    for the next request.  A reused connection that the server closed while
+    it sat idle is reopened once without using an attempt, because the
+    server never read the request sent on it.
 
     Transport-level failures never raise: refused connections and timeouts
     are retried up to ``max_attempts`` with seeded-jitter exponential
@@ -88,22 +102,53 @@ class HttpTransport:
                  seed: int = 0) -> None:
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+        url = urllib.parse.urlsplit(base_url)
+        if url.scheme not in _CONNECTIONS:
+            raise ValueError(f"unsupported URL scheme in {base_url!r}: use http:// or https://")
+        if not url.hostname:
+            raise ValueError(f"no host in URL {base_url!r}")
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self._rng = make_rng(derive_seed(seed, "loadgen", "transport"))
+        self._prefix = url.path.rstrip("/")
+        self._conn = _CONNECTIONS[url.scheme](url.hostname, url.port, timeout=timeout_s)
 
-    def _post_once(self, op: str, request: Dict[str, Any]) -> Dict[str, Any]:
-        body = {k: v for k, v in request.items() if k != "op"}
-        req = urllib.request.Request(
-            f"{self.base_url}/v1/{op}",
-            data=json.dumps(body).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-            return json.loads(resp.read())
+    def close(self) -> None:
+        """Close the connection; the next call opens a new one."""
+        self._conn.close()
+
+    def __enter__(self) -> "HttpTransport":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def _exchange(self, method: str, op: str,
+                  body: Optional[bytes] = None) -> Tuple[int, bytes]:
+        """One request and its whole response body, as ``(status, body)``.
+
+        Any failure closes the connection before it propagates, so the
+        next exchange starts on a new one.
+        """
+        path = f"{self._prefix}/v1/{op}"
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        reused = self._conn.sock is not None
+        try:
+            try:
+                self._conn.request(method, path, body, headers)
+                response = self._conn.getresponse()
+            except _DROPPED_WHILE_IDLE:
+                if not reused:
+                    raise
+                self._conn.close()
+                self._conn.request(method, path, body, headers)
+                response = self._conn.getresponse()
+            return response.status, response.read()
+        except BaseException:
+            self._conn.close()
+            raise
 
     def _backoff(self, attempt: int) -> None:
         jitter = 1.0 + 0.25 * float(self._rng.uniform(-1.0, 1.0))
@@ -111,52 +156,45 @@ class HttpTransport:
 
     def send(self, request: Dict[str, Any]) -> Dict[str, Any]:
         op = request["op"]
+        body = json.dumps({k: v for k, v in request.items() if k != "op"}).encode("utf-8")
         failure: Dict[str, Any] = {}
         for attempt in range(self.max_attempts):
             try:
-                return self._post_once(op, request)
-            except urllib.error.HTTPError as exc:
-                # The server answered — never retry.  Engine-level failures
-                # (422) and sheds (503) come back as the same JSON body the
-                # in-process transport would return.
-                payload = exc.read()
-                try:
-                    return json.loads(payload)
-                except (ValueError, UnicodeDecodeError):
-                    return {
-                        "ok": False, "op": op,
-                        "error": f"HTTP {exc.code}: {payload[:200]!r}",
-                        "error_class": HTTP_ERROR,
-                    }
-            except (socket.timeout, TimeoutError) as exc:
+                status, payload = self._exchange("POST", op, body)
+            except TimeoutError as exc:
                 failure = {
                     "ok": False, "op": op,
                     "error": f"timeout after {self.timeout_s}s: {exc}",
                     "error_class": TIMEOUT,
                 }
-            except (urllib.error.URLError, ConnectionError, OSError) as exc:
-                reason = getattr(exc, "reason", exc)
-                if isinstance(reason, (socket.timeout, TimeoutError)):
-                    failure = {
+            except (OSError, http.client.HTTPException) as exc:
+                failure = {
+                    "ok": False, "op": op,
+                    "error": f"connection failed: {exc}",
+                    "error_class": CONNECTION_REFUSED,
+                }
+            else:
+                # The server answered — never retry.  Engine-level failures
+                # (422) and sheds (503) come back as the same JSON body the
+                # in-process transport would return.
+                try:
+                    return json.loads(payload)
+                except ValueError:
+                    return {
                         "ok": False, "op": op,
-                        "error": f"timeout after {self.timeout_s}s: {reason}",
-                        "error_class": TIMEOUT,
-                    }
-                else:
-                    failure = {
-                        "ok": False, "op": op,
-                        "error": f"connection failed: {reason}",
-                        "error_class": CONNECTION_REFUSED,
+                        "error": f"HTTP {status}: {payload[:200]!r}",
+                        "error_class": HTTP_ERROR,
                     }
             if attempt + 1 < self.max_attempts:
                 self._backoff(attempt)
         return failure
 
     def health(self) -> Dict[str, Any]:
-        with urllib.request.urlopen(
-            f"{self.base_url}/v1/health", timeout=self.timeout_s
-        ) as resp:
-            return json.loads(resp.read())
+        """``GET /v1/health``; raises ``OSError`` when it cannot be answered."""
+        status, payload = self._exchange("GET", "health")
+        if status != 200:
+            raise OSError(f"{self.base_url}/v1/health answered HTTP {status}: {payload[:200]!r}")
+        return json.loads(payload)
 
 
 @dataclass

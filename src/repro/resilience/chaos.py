@@ -446,34 +446,34 @@ def scenario_kill_serve_resume() -> str:
         # SIGKILL), the second kill-resume (resumed boot → SIGKILL again).
         for cut in (len(requests) // 3, (2 * len(requests)) // 3):
             proc, base_url = _boot_serve(tmp, ckpt, trace_out)
-            transport = HttpTransport(base_url)
-            offered = int(transport.health().get("offered", 0))
-            if offered > sent:
-                raise AssertionError(
-                    f"resumed serve claims {offered} offered > {sent} actually sent"
-                )
-            for request in requests[offered:cut]:
-                response = transport.send(dict(request))
-                if response.get("error_class"):
-                    raise AssertionError(f"transport failure mid-replay: {response}")
-            sent = cut
-            proc.kill()  # SIGKILL: no drain, no flush, no atexit
-            proc.wait()
+            with HttpTransport(base_url) as transport:
+                offered = int(transport.health().get("offered", 0))
+                if offered > sent:
+                    raise AssertionError(
+                        f"resumed serve claims {offered} offered > {sent} actually sent"
+                    )
+                for request in requests[offered:cut]:
+                    response = transport.send(dict(request))
+                    if response.get("error_class"):
+                        raise AssertionError(f"transport failure mid-replay: {response}")
+                sent = cut
+                proc.kill()  # SIGKILL: no drain, no flush, no atexit
+                proc.wait()
         if not Path(ckpt).exists():
             raise AssertionError("no serve checkpoint survived the SIGKILLs")
 
         proc, base_url = _boot_serve(tmp, ckpt, trace_out)
-        transport = HttpTransport(base_url)
-        offered = int(transport.health().get("offered", 0))
-        if offered == 0:
-            raise AssertionError("second resume lost the whole run (offered=0)")
-        for request in requests[offered:]:
-            response = transport.send(dict(request))
-            if response.get("error_class"):
-                raise AssertionError(f"transport failure mid-replay: {response}")
-        proc.send_signal(signal.SIGTERM)
-        if proc.wait(timeout=30) != 0:
-            raise AssertionError(f"serve exited {proc.returncode} on SIGTERM")
+        with HttpTransport(base_url) as transport:
+            offered = int(transport.health().get("offered", 0))
+            if offered == 0:
+                raise AssertionError("second resume lost the whole run (offered=0)")
+            for request in requests[offered:]:
+                response = transport.send(dict(request))
+                if response.get("error_class"):
+                    raise AssertionError(f"transport failure mid-replay: {response}")
+            proc.send_signal(signal.SIGTERM)
+            if proc.wait(timeout=30) != 0:
+                raise AssertionError(f"serve exited {proc.returncode} on SIGTERM")
         trace = json.loads(Path(trace_out).read_text())
 
     if trace["sha256"] != expected_sha or trace["n_events"] != expected_events:

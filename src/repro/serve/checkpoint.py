@@ -103,7 +103,7 @@ def snapshot_engine(engine: OrchestrationEngine) -> Dict[str, Any]:
         "clients": engine.live.client_ids(),
         "last_t": last_t,
         "busy_until": sorted((h, v) for h, v in engine._busy_until.items() if v > floor),
-        "inflight": sorted(engine._inflight),
+        "inflight": engine._inflight_completions(),
         "counters": {
             "n_requests": engine.n_requests,
             "n_errors": engine.n_errors,
@@ -179,7 +179,8 @@ def restore_engine(
     _replay_history(engine, events)
     engine._last_t = payload["last_t"]
     engine._busy_until = {int(h): float(v) for h, v in payload["busy_until"]}
-    engine._inflight = [float(v) for v in payload["inflight"]]
+    for done in payload["inflight"]:
+        engine._push_inflight(float(done))
     counters = payload["counters"]
     engine.n_requests = int(counters["n_requests"])
     engine.n_errors = int(counters["n_errors"])

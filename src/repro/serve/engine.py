@@ -157,10 +157,15 @@ class OrchestrationEngine:
         self._fault_cursor = 0
         self._down_servers: Set[int] = set()
         self._buffers: Dict[int, EdgeBuffer] = {}
-        # Min-heap of completion times of server-bound work (cloud
-        # inferences and telemetry uploads); its pruned length at a request's
-        # arrival time is the admission-queue depth shedding decides on.
+        # Completion times of server-bound work (cloud inferences and
+        # telemetry uploads) still in flight, pruned at every request's
+        # arrival: a min-heap of distinct times, the number of completions
+        # due at each, and their total, the admission-queue depth shedding
+        # decides on.  A slot's cloud inferences all complete at one
+        # instant, so pruning pops one heap entry for the whole slot.
         self._inflight: List[float] = []
+        self._inflight_due: Dict[float, int] = {}
+        self._inflight_depth = 0
         # Duck-typed checkpoint hook (see repro.serve.checkpoint): called
         # after every handled request, when attached by the CLI.
         self.checkpointer: Optional[Any] = None
@@ -238,6 +243,7 @@ class OrchestrationEngine:
                     f"non-monotonic request time {t!r} after {self._last_t!r}"
                 )
             self._observe_arrival(t)
+            self._prune_inflight(t)
             self._advance_faults(t)
             if op == "admit":
                 return self._admit(hive, t)
@@ -346,9 +352,20 @@ class OrchestrationEngine:
         )
 
     # -- overload shedding ---------------------------------------------------
+    def _push_inflight(self, done: float) -> None:
+        due = self._inflight_due.get(done, 0)
+        if not due:
+            heapq.heappush(self._inflight, done)
+        self._inflight_due[done] = due + 1
+        self._inflight_depth += 1
+
     def _prune_inflight(self, t: float) -> None:
         while self._inflight and self._inflight[0] <= t:
-            heapq.heappop(self._inflight)
+            self._inflight_depth -= self._inflight_due.pop(heapq.heappop(self._inflight))
+
+    def _inflight_completions(self) -> List[float]:
+        """Completion times of the server-bound work in flight, one per request, sorted."""
+        return sorted(done for done, due in self._inflight_due.items() for _ in range(due))
 
     def _maybe_shed(self, op: str, hive: int, t: float) -> Optional[Dict[str, Any]]:
         """Deterministic admission control over the bounded in-flight queue.
@@ -361,8 +378,7 @@ class OrchestrationEngine:
         bound = self.config.queue_bound
         if bound is None:
             return None
-        self._prune_inflight(t)
-        depth = len(self._inflight)
+        depth = self._inflight_depth
         threshold = bound if op == "inference" else (bound + 1) // 2
         if depth < threshold:
             return None
@@ -427,7 +443,7 @@ class OrchestrationEngine:
             t=t, op="telemetry", hive=hive, bytes=payload_bytes,
             latency=duration, energy=energy,
         )
-        heapq.heappush(self._inflight, t + duration)
+        self._push_inflight(t + duration)
         return {
             "ok": True, "op": "telemetry", "hive": hive, "t": t,
             "bytes": payload_bytes, "latency_s": duration, "energy_j": energy,
@@ -513,7 +529,7 @@ class OrchestrationEngine:
             server=placement.server, slot=placement.slot, position=placement.position,
             latency=latency, energy=client_j, server_energy=server_j, **extra,
         )
-        heapq.heappush(self._inflight, done)
+        self._push_inflight(done)
         response = {
             "ok": True, "op": "inference", "hive": hive, "t": t,
             "placement": "cloud", "server": placement.server,
@@ -560,7 +576,7 @@ class OrchestrationEngine:
     def _health(self) -> Dict[str, Any]:
         if self._last_t is not None:
             self._prune_inflight(self._last_t)
-        depth = len(self._inflight)
+        depth = self._inflight_depth
         degraded = bool(self._down_servers) or (
             self.config.queue_bound is not None and depth >= self.config.queue_bound
         )

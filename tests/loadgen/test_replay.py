@@ -1,7 +1,10 @@
 """Tests for the replay driver: open/closed loop, report, determinism."""
 
 import dataclasses
+import http.client
+import http.server
 import json
+import threading
 
 import pytest
 
@@ -190,6 +193,7 @@ class TestErrorClasses:
             response = transport.send({"op": "telemetry", "hive": 0, "t": 0.0})
         assert response["ok"] is False
         assert response["error_class"] == TIMEOUT
+        assert transport._conn.sock is None  # a failed exchange closes the socket
 
     def test_transport_backoff_is_seeded(self):
         from repro.loadgen.replay import HttpTransport
@@ -217,6 +221,87 @@ class TestErrorClasses:
         assert report.by_class.get("shed", 0) > 0
         assert report.n_errors == sum(report.by_class.values())
         assert report.unexpected_classes(("shed",)) == {}
+
+
+class _FlakyHandler(http.server.BaseHTTPRequestHandler):
+    """Keep-alive stub: a plain-text 500 for ``/v1/boom``, JSON otherwise."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 5.0
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+    def do_POST(self):  # noqa: N802
+        self.rfile.read(int(self.headers["Content-Length"]))
+        if self.path == "/v1/boom":
+            status, body = 500, b"upstream exploded"
+        else:
+            status, body = 200, json.dumps({"ok": True, "op": self.path[4:]}).encode()
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+class TestHttpTransport:
+    def test_non_json_error_body_is_http_class_and_connection_reused(self):
+        from repro.loadgen.replay import HTTP_ERROR, HttpTransport
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), _FlakyHandler)
+        accepted = []
+        get_request = server.get_request
+
+        def counted_get_request():
+            accepted.append(1)
+            return get_request()
+
+        server.get_request = counted_get_request
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address
+            with HttpTransport(f"http://{host}:{port}", max_attempts=1) as transport:
+                failed = transport.send({"op": "boom", "hive": 0, "t": 0.0})
+                after = transport.send({"op": "admit", "hive": 0, "t": 0.0})
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert failed["ok"] is False and failed["error_class"] == HTTP_ERROR
+        assert "HTTP 500" in failed["error"] and "upstream exploded" in failed["error"]
+        assert after == {"ok": True, "op": "admit"}
+        assert len(accepted) == 1  # the error body was read, the connection kept
+
+    def test_https_targets_use_a_tls_connection(self):
+        from repro.loadgen.replay import HttpTransport
+
+        transport = HttpTransport("https://hives.example:8443/")
+        assert isinstance(transport._conn, http.client.HTTPSConnection)
+        assert (transport._conn.host, transport._conn.port) == ("hives.example", 8443)
+        assert transport._conn.sock is None  # opened lazily, at the first call
+
+    @pytest.mark.parametrize(
+        "url", ["ftp://127.0.0.1:8037", "127.0.0.1:8037", "localhost:8037", "ws://127.0.0.1:8037"]
+    )
+    def test_other_schemes_are_rejected(self, url):
+        from repro.loadgen.replay import HttpTransport
+
+        with pytest.raises(ValueError, match="scheme"):
+            HttpTransport(url)
+
+    @pytest.mark.parametrize("url", ["http://", "http:///v1", "https://:8443"])
+    def test_urls_without_a_host_are_rejected(self, url):
+        from repro.loadgen.replay import HttpTransport
+
+        with pytest.raises(ValueError, match="no host"):
+            HttpTransport(url)
+
+    def test_cli_rejects_a_bad_target_url(self, capsys):
+        from repro.loadgen.cli import main
+
+        assert main(["--target", "ftp://127.0.0.1:8037"]) == 2
+        assert "scheme" in capsys.readouterr().err
 
 
 class TestSkipReconnect:

@@ -7,9 +7,14 @@ whole module stays in the low seconds.  The full-size run is exercised by
 ``python -m repro.serve.smoke --http`` in CI and by the serve-trace golden.
 """
 
+import http.client
 import json
+import math
 import signal
+import socket
 import subprocess
+import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -18,6 +23,8 @@ import pytest
 
 from repro.loadgen.arrivals import LoadSpec
 from repro.loadgen.replay import HttpTransport, replay, replay_in_process
+from repro.serve.engine import OrchestrationEngine, ServeConfig
+from repro.serve.http import MAX_BODY_BYTES, make_server
 from repro.serve.smoke import _boot_server
 
 SMALL_SPEC = LoadSpec(
@@ -42,6 +49,23 @@ def server(tmp_path):
             proc.wait(timeout=10)
 
 
+@pytest.fixture()
+def threaded_server():
+    """``make_server`` over a queue-bound engine, served from a background thread."""
+    server = make_server(OrchestrationEngine(ServeConfig(queue_bound=1)), "127.0.0.1", 0)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
 def shutdown(proc) -> str:
     """SIGTERM the server and return its stdout (the final report JSON)."""
     proc.send_signal(signal.SIGTERM)
@@ -53,7 +77,8 @@ def shutdown(proc) -> str:
 class TestLifecycle:
     def test_health_then_graceful_sigterm(self, server):
         proc, url, trace_out, obs_out = server
-        health = HttpTransport(url).health()
+        with HttpTransport(url) as transport:
+            health = transport.health()
         assert health["ok"] is True
         assert health["fleet"] == 0
         stdout = shutdown(proc)
@@ -68,9 +93,9 @@ class TestLifecycle:
 
     def test_obs_snapshot_flushed_on_sigterm(self, server):
         proc, url, trace_out, obs_out = server
-        t = HttpTransport(url)
-        t.send({"op": "admit", "hive": 1, "t": 0.0})
-        t.send({"op": "inference", "hive": 1, "t": 5.0})
+        with HttpTransport(url) as t:
+            t.send({"op": "admit", "hive": 1, "t": 0.0})
+            t.send({"op": "inference", "hive": 1, "t": 5.0})
         shutdown(proc)
         snap = json.loads(obs_out.read_text())
         assert snap["schema_version"] >= 1
@@ -95,16 +120,181 @@ class TestLifecycle:
 
     def test_engine_error_is_422_with_body(self, server):
         proc, url, _trace, _obs = server
-        t = HttpTransport(url)
-        t.send({"op": "admit", "hive": 7, "t": 0.0})
-        r = t.send({"op": "admit", "hive": 7, "t": 1.0})
+        with HttpTransport(url) as t:
+            t.send({"op": "admit", "hive": 7, "t": 0.0})
+            r = t.send({"op": "admit", "hive": 7, "t": 1.0})
         assert r["ok"] is False and "allocated twice" in r["error"]
+
+
+def _counting_connects(transport: HttpTransport) -> list:
+    """Record every TCP connect the transport makes from here on."""
+    connects = []
+    connect = transport._conn.connect
+
+    def counted() -> None:
+        connects.append(transport._conn.host)
+        connect()
+
+    transport._conn.connect = counted
+    return connects
+
+
+class TestKeepAlive:
+    def test_one_connection_carries_a_whole_replay_and_health(self, server):
+        proc, url, _trace, _obs = server
+        with HttpTransport(url) as transport:
+            connects = _counting_connects(transport)
+            report = replay(SMALL_SPEC, transport)
+            health = transport.health()
+        assert report.n_errors == 0
+        assert health["requests"] == report.n_requests + 1
+        assert len(connects) == 1
+        assert transport._conn.sock is None  # closed by leaving the block
+        shutdown(proc)
+
+    def test_sigterm_with_an_idle_connected_transport_exits_promptly(self, server):
+        proc, url, _trace, _obs = server
+        with HttpTransport(url) as transport:
+            assert transport.health()["ok"] is True
+            start = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=30)
+            elapsed = time.monotonic() - start
+            assert transport._conn.sock is not None  # still connected at SIGTERM
+        assert proc.returncode == 0
+        assert elapsed < 1.0, f"repro-serve took {elapsed:.2f} s to exit"
+
+    def test_an_idle_connection_yields_to_a_second_client(self, server):
+        proc, url, _trace, _obs = server
+        with HttpTransport(url, max_attempts=1) as first:
+            connects = _counting_connects(first)
+            assert first.send({"op": "admit", "hive": 1, "t": 0.0})["ok"] is True
+            start = time.monotonic()
+            with urllib.request.urlopen(f"{url}/v1/health", timeout=10) as resp:
+                assert json.loads(resp.read())["ok"] is True
+            assert time.monotonic() - start < 1.0
+            # the server gave the idle connection up: the next send reopens
+            # it without spending the only attempt
+            response = first.send({"op": "inference", "hive": 1, "t": 5.0})
+        assert response["ok"] is True and response["placement"] == "cloud"
+        assert len(connects) == 2
+        shutdown(proc)
+
+    def test_kept_alive_requests_do_not_stall(self, threaded_server):
+        """A body sent after its headers would hold each request ~40 ms on
+        Nagle plus the client's delayed ACK: 50 requests would take ~2 s."""
+        host, port = threaded_server.server_address
+        with HttpTransport(f"http://{host}:{port}") as transport:
+            transport.health()
+            start = time.monotonic()
+            for _ in range(50):
+                assert transport.health()["ok"] is True
+            assert time.monotonic() - start < 1.0
+
+    def test_error_bodies_and_retry_after_are_unchanged(self, threaded_server):
+        """404/400/422/503 on one kept-alive connection, as the in-process path answers."""
+        reference = OrchestrationEngine(ServeConfig(queue_bound=1))
+        conn = http.client.HTTPConnection(*threaded_server.server_address, timeout=10)
+
+        def post(op: str, body: bytes):
+            conn.request("POST", f"/v1/{op}", body, {"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read()), resp.getheader("Retry-After")
+
+        def post_request(op: str, request: dict):
+            status, body, retry_after = post(op, json.dumps(request).encode())
+            assert body == reference.handle({**request, "op": op})
+            return status, body, retry_after
+
+        try:
+            assert post("frobnicate", b"{}") == (
+                404, {"ok": False, "error": "no such endpoint: /v1/frobnicate"}, None
+            )
+            assert post("admit", b"not json") == (
+                400,
+                {"ok": False, "op": "admit",
+                 "error": "bad request body: Expecting value: line 1 column 1 (char 0)"},
+                None,
+            )
+            assert post_request("admit", {"hive": 7, "t": 0.0})[0] == 200
+            assert post_request("admit", {"hive": 7, "t": 1.0})[0] == 422
+            assert post_request("inference", {"hive": 7, "t": 2.0})[0] == 200
+            status, shed, retry_after = post_request("inference", {"hive": 7, "t": 3.0})
+            assert status == 503 and shed["shed"] is True
+            assert retry_after == str(max(1, math.ceil(shed["retry_after_s"])))
+        finally:
+            conn.close()
+
+
+def _raw_exchange(address, request: bytes):
+    """Send one raw request; returns (status line, headers, JSON body, server closed)."""
+    with socket.create_connection(address, timeout=3) as sock:
+        sock.sendall(request)
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            chunk = sock.recv(65536)
+            assert chunk, f"connection closed before a response: {reply!r}"
+            reply += chunk
+        head_bytes, rest = reply.split(b"\r\n\r\n", 1)
+        lines = head_bytes.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        while len(rest) < int(headers["Content-Length"]):
+            rest += sock.recv(65536)
+        sock.settimeout(0.5)
+        try:
+            closed = sock.recv(1) == b""
+        except socket.timeout:
+            closed = False
+    return lines[0], headers, json.loads(rest), closed
+
+
+class TestFraming:
+    @pytest.mark.parametrize(
+        "framing, status",
+        [
+            (b"Content-Length: -1\r\n", "400"),
+            (b"Content-Length: 12abc\r\n", "400"),
+            (b"Content-Length: %d\r\n" % (MAX_BODY_BYTES + 1), "413"),
+            (b"Transfer-Encoding: chunked\r\n", "501"),
+        ],
+        ids=["negative-length", "non-integer-length", "oversized-length", "transfer-encoding"],
+    )
+    def test_refused_at_once_and_connection_closed(self, threaded_server, framing, status):
+        start = time.monotonic()
+        status_line, headers, body, closed = _raw_exchange(
+            threaded_server.server_address,
+            b"POST /v1/admit HTTP/1.1\r\nHost: x\r\n" + framing + b"\r\n",
+        )
+        assert time.monotonic() - start < 1.0
+        assert status_line.split(" ")[1] == status
+        assert headers["Connection"] == "close" and closed
+        assert body["ok"] is False
+        assert threaded_server.RequestHandlerClass.engine.n_requests == 0
+
+    def test_missing_content_length_is_an_empty_body(self, threaded_server):
+        status_line, _headers, body, closed = _raw_exchange(
+            threaded_server.server_address, b"POST /v1/admit HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        assert status_line.split(" ")[1] == "422"
+        assert body == OrchestrationEngine().handle({"op": "admit"})
+        assert not closed
+
+    def test_pipelined_requests_are_both_answered(self, threaded_server):
+        with socket.create_connection(threaded_server.server_address, timeout=3) as sock:
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n" * 2)
+            reply = b""
+            while reply.count(b"HTTP/1.1 200") < 2 or not reply.endswith(b"}"):
+                chunk = sock.recv(65536)
+                assert chunk, f"connection closed after {reply!r}"
+                reply += chunk
+        assert threaded_server.RequestHandlerClass.engine.n_requests == 2
 
 
 class TestReplayOverHttp:
     def test_http_replay_matches_in_process_bit_for_bit(self, server):
         proc, url, trace_out, _obs = server
-        report = replay(SMALL_SPEC, HttpTransport(url))
+        with HttpTransport(url) as transport:
+            report = replay(SMALL_SPEC, transport)
         assert report.n_errors == 0
         _engine, local = replay_in_process(SMALL_SPEC)
         assert report.n_requests == local.n_requests
@@ -119,7 +309,8 @@ class TestReplayOverHttp:
             d.mkdir()
             proc, url, trace_out, _obs = _boot_server(d)
             try:
-                report = replay(SMALL_SPEC, HttpTransport(url))
+                with HttpTransport(url) as transport:
+                    report = replay(SMALL_SPEC, transport)
                 assert report.n_errors == 0
                 shutdown(proc)
             finally:

@@ -12,6 +12,7 @@ fail/repack/recover churn.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -295,6 +296,64 @@ class TestShedding:
         assert engine.handle({"op": "inference", "hive": 0, "t": 1.0})["shed"] is True
         late = engine.handle({"op": "inference", "hive": 0, "t": done + 1.0})
         assert late.get("shed") is None and late["ok"] is True
+
+    @pytest.mark.parametrize(
+        "config",
+        [ServeConfig(), ServeConfig(queue_bound=4, faults=FAULTS)],
+        ids=["unbounded", "bounded-faulty"],
+    )
+    def test_inflight_holds_exactly_the_pending_completions(self, config):
+        """Pruned at every arrival, the heap holds only the work still pending.
+
+        Shed responses, health answers and checkpoint envelopes answer from
+        exactly those completions.
+        """
+        engine = OrchestrationEngine(config)
+        completions = []
+        for index, request in enumerate(iter_requests(LOAD)):
+            t = request["t"]
+            pending = sorted(c for c in completions if c > t)
+            response = engine.handle(dict(request))
+            if response.get("shed"):
+                assert response["queue_depth"] == len(pending)
+                assert response["retry_after_s"] == pending[0] - t
+            elif response.get("placement") == "cloud":
+                completions.append(response["done_t"])
+            elif response["op"] == "telemetry" and "latency_s" in response:
+                completions.append(t + response["latency_s"])
+            pending = sorted(c for c in completions if c > t)
+            assert engine._inflight_completions() == pending
+            if index % 25 == 0:
+                assert engine.handle({"op": "health"})["queue_depth"] == len(pending)
+                assert snapshot_engine(engine)["inflight"] == pending
+        assert len(completions) > 2 * len(pending)  # most work finished: pruning mattered
+        assert (engine.n_shed > 0) == (config.queue_bound is not None)
+
+    @pytest.mark.parametrize(
+        "config, trace_sha, answers_sha",
+        [
+            (ServeConfig(),
+             "0a2ba0ecf68754ffec97c1fef3fda69f286092ae7635595d3eedfec1f54bbee1",
+             "bde909d461fdf54ec4449996c6054f94cde369b1f6bd15c51a500e1411ad109c"),
+            (ServeConfig(queue_bound=4, faults=FAULTS),
+             "3491551c0f765afa7f76c2d596191c72ef117229786f395e54b4348084a5c7f5",
+             "f71ca6e5910af3ea276a00370da7a4803fe7ab40ce8554b044d5a028928d7e8d"),
+        ],
+        ids=["unbounded", "bounded-faulty"],
+    )
+    def test_pruning_at_arrival_changes_no_answer(self, config, trace_sha, answers_sha):
+        """Responses, health answers, envelopes and trace SHA are pinned from
+        the engine that pruned in-flight work only to shed or answer health."""
+        engine = OrchestrationEngine(config)
+        digest = hashlib.sha256()
+        for index, request in enumerate(iter_requests(LOAD)):
+            answers = [engine.handle(dict(request))]
+            if index % 25 == 0:
+                answers += [engine.handle({"op": "health"}), snapshot_engine(engine)]
+            for answer in answers:
+                digest.update(json.dumps(answer, sort_keys=True).encode())
+        assert engine.trace.fingerprint() == trace_sha
+        assert digest.hexdigest() == answers_sha
 
     def test_unbounded_engine_never_sheds(self):
         engine = OrchestrationEngine(ServeConfig())
