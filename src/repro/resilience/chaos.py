@@ -43,8 +43,15 @@ and are also driven by ``tests/chaos/`` in CI, so the guarantees in
     A serve checkpoint's trace log is cut mid-record below the offset its
     envelope records (refused with ``CheckpointCorrupt``), then given a torn
     tail past that offset, as a crash between the log fsync and the envelope
-    replace leaves it: resume truncates the tail, lands on the checkpoint's
+    write leaves it: resume truncates the tail, lands on the checkpoint's
     SHA, and the finished replay matches the uninterrupted one.
+``tear-serve-envelope``
+    A serve checkpoint saves, serves on and saves again (three saves, so
+    the newest is written in place); the newest save's envelope slot is
+    then torn, half new bytes and half old, as a crash between its
+    in-place write and its fsync leaves it.  Resume must fall back to the
+    previous save in the other slot, truncate the log to that save's
+    offset, and finish the replay on the uninterrupted run's SHA.
 
 Workers communicate "I already crashed once" through marker files in a
 scratch directory, so every injected failure happens exactly once and the
@@ -494,7 +501,7 @@ def scenario_truncate_serve_log() -> str:
     A log cut mid-record anywhere below the offset the envelope records must
     refuse to resume with :class:`~repro.resilience.errors.CheckpointCorrupt`.
     Records past the offset — what a crash between the log fsync and the
-    envelope replace leaves, here with a torn last record — must be cut
+    envelope write leaves, here with a torn last record — must be cut
     away: the resume lands on the checkpoint's SHA, and finishing the
     replay from there reaches the uninterrupted run's SHA.
     """
@@ -567,6 +574,73 @@ def scenario_truncate_serve_log() -> str:
     )
 
 
+def scenario_tear_serve_envelope() -> str:
+    """Tear the newest serve envelope slot; resume lands on the save before it."""
+    from repro.loadgen.arrivals import arrival_to_request, merged_stream
+    from repro.resilience.checkpoint import load_checkpoint
+    from repro.serve.checkpoint import (
+        ServeCheckpointer,
+        log_path,
+        resume_engine,
+        slot_paths,
+    )
+    from repro.serve.engine import OrchestrationEngine
+
+    config = _serve_chaos_config()
+    requests = [arrival_to_request(a) for a in merged_stream(_serve_chaos_spec())]
+    reference = OrchestrationEngine(config)
+    for request in requests:
+        reference.handle(dict(request))
+    expected_sha = reference.trace.fingerprint()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "serve-ck.json"
+        log = log_path(ckpt)
+        engine = OrchestrationEngine(config)
+        checkpointer = ServeCheckpointer(ckpt)  # saves only when flushed below
+
+        def serve_and_save(stop: int) -> None:
+            for request in requests[engine.n_requests : stop]:
+                engine.handle(dict(request))
+            checkpointer.flush(engine)
+
+        # Three saves, so that the newest one is written in place over the
+        # first; the second is the previous save resume must land on.
+        serve_and_save(len(requests) // 3)
+        serve_and_save(len(requests) // 2)
+        saved = (engine.trace.fingerprint(), engine.trace.n_events, engine.n_requests)
+        saved_log = log.read_bytes()
+        before = {slot: slot.read_bytes() for slot in slot_paths(ckpt)}
+        serve_and_save((2 * len(requests)) // 3)
+        checkpointer.close()
+        newest = max(slot_paths(ckpt), key=lambda slot: load_checkpoint(slot)["seq"])
+        written = newest.read_bytes()
+        half = len(written) // 2
+        newest.write_bytes(written[:half] + before[newest][half:])  # the write landed halfway
+
+        checkpointer = ServeCheckpointer(ckpt, 20)
+        resumed = checkpointer.resume(config)
+        landed = (resumed.trace.fingerprint(), resumed.trace.n_events, resumed.n_requests)
+        if landed != saved:
+            raise AssertionError(f"resume past a torn envelope landed on {landed[1:]}, "
+                                 f"not the previous save {saved[1:]}")
+        if log.read_bytes() != saved_log:
+            raise AssertionError("resume did not truncate the log to the previous save")
+        resumed.checkpointer = checkpointer
+        for request in requests[resumed.n_requests :]:
+            resumed.handle(dict(request))
+        checkpointer.flush(resumed)
+        checkpointer.close()
+        final = resume_engine(ckpt, config)
+    if resumed.trace.fingerprint() != expected_sha or final.trace.fingerprint() != expected_sha:
+        raise AssertionError("replay finished after the torn envelope diverged from the reference")
+    return (
+        f"newest envelope torn at byte {half} of {len(written)}; resume fell back to the "
+        f"previous save ({saved[1]} events), truncated the log, and the finished replay "
+        f"matched the uninterrupted one (sha {expected_sha[:12]}…)"
+    )
+
+
 SCENARIOS: Dict[str, Tuple[Callable[[], str], str]] = {
     "kill-worker": (scenario_kill_worker, "SIGKILL a pool worker mid-chunk"),
     "hang-worker": (scenario_hang_worker, "hang a worker past its chunk deadline"),
@@ -584,6 +658,10 @@ SCENARIOS: Dict[str, Tuple[Callable[[], str], str]] = {
     "truncate-serve-log": (
         scenario_truncate_serve_log,
         "cut a serve trace log below its checkpoint, then tear its tail",
+    ),
+    "tear-serve-envelope": (
+        scenario_tear_serve_envelope,
+        "tear the newest serve envelope slot, resume from the save before it",
     ),
 }
 

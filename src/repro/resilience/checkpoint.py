@@ -12,7 +12,9 @@ digest-protected payload::
       "payload": "<base64(zlib(pickle(state)))>"
     }
 
-The envelope makes every failure mode a *structured* one:
+:func:`encode_checkpoint` renders those bytes, which the serve checkpointer
+(:mod:`repro.serve.checkpoint`) instead writes in place, into the older of
+two slots.  The envelope makes every failure mode a *structured* one:
 
 * a crash mid-write never leaves a truncated file (atomic replace);
 * a truncated/tampered file fails JSON parsing or the digest check and
@@ -47,7 +49,7 @@ from repro.resilience.errors import (
     CheckpointSchemaMismatch,
     InterruptedRun,
 )
-from repro.util.atomic import atomic_write_json
+from repro.util.atomic import atomic_write
 
 #: Bump on any structural change to the envelope or payload layout.
 #: 2 — supervised chunk entries carry their (lo, hi) item bounds so resume
@@ -71,10 +73,8 @@ def run_key(*parts: Any) -> str:
     return h.hexdigest()
 
 
-def write_checkpoint(
-    path, payload: Any, *, kind: str, run_key: Optional[str] = None
-) -> None:
-    """Atomically persist ``payload`` under the digest-protected envelope."""
+def encode_checkpoint(payload: Any, *, kind: str, run_key: Optional[str] = None) -> bytes:
+    """The digest-protected envelope of ``payload``: the bytes a checkpoint file holds."""
     blob = base64.b64encode(zlib.compress(pickle.dumps(payload, protocol=4))).decode("ascii")
     envelope = {
         "schema": CHECKPOINT_SCHEMA,
@@ -83,13 +83,22 @@ def write_checkpoint(
         "sha256": hashlib.sha256(blob.encode("ascii")).hexdigest(),
         "payload": blob,
     }
-    atomic_write_json(path, envelope)
+    return (json.dumps(envelope, indent=2) + "\n").encode("utf-8")
 
 
-def load_checkpoint(
-    path, *, kind: Optional[str] = None, expect_run_key: Optional[str] = None
-) -> Any:
-    """Load and verify a checkpoint; every failure is a structured error."""
+def write_checkpoint(
+    path, payload: Any, *, kind: str, run_key: Optional[str] = None
+) -> None:
+    """Atomically persist ``payload`` under the digest-protected envelope."""
+    atomic_write(path, encode_checkpoint(payload, kind=kind, run_key=run_key))
+
+
+def read_envelope(path) -> Dict[str, Any]:
+    """The envelope a checkpoint file holds, with every field present.
+
+    Raises :class:`~repro.resilience.errors.CheckpointCorrupt` for a file
+    that is not one (a truncated write or a foreign file).
+    """
     path_s = str(path)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -104,6 +113,25 @@ def load_checkpoint(
         raise CheckpointCorrupt(
             f"checkpoint {path_s} is missing envelope fields", path=path_s
         )
+    return envelope
+
+
+def verify_digest(envelope: Dict[str, Any], path) -> None:
+    """Raise :class:`~repro.resilience.errors.CheckpointCorrupt` unless the
+    payload matches the envelope's digest."""
+    if hashlib.sha256(str(envelope["payload"]).encode("ascii")).hexdigest() != envelope["sha256"]:
+        raise CheckpointCorrupt(
+            f"checkpoint {path} fails its payload digest (corrupt or tampered)",
+            path=str(path),
+        )
+
+
+def check_envelope(
+    envelope: Dict[str, Any], path, *, kind: Optional[str] = None,
+    expect_run_key: Optional[str] = None,
+) -> None:
+    """The refusals every load applies: schema, digest, kind and run key."""
+    path_s = str(path)
     schema = envelope["schema"]
     if schema != CHECKPOINT_SCHEMA:
         raise CheckpointSchemaMismatch(
@@ -114,12 +142,7 @@ def load_checkpoint(
             found=schema if isinstance(schema, int) else None,
             expected=CHECKPOINT_SCHEMA,
         )
-    blob = envelope["payload"]
-    if hashlib.sha256(str(blob).encode("ascii")).hexdigest() != envelope["sha256"]:
-        raise CheckpointCorrupt(
-            f"checkpoint {path_s} fails its payload digest (corrupt or tampered)",
-            path=path_s,
-        )
+    verify_digest(envelope, path_s)
     if kind is not None and envelope["kind"] != kind:
         raise CheckpointMismatch(
             f"checkpoint {path_s} holds a {envelope['kind']!r} payload, expected {kind!r}",
@@ -133,12 +156,25 @@ def load_checkpoint(
             "path or drop --resume",
             path=path_s,
         )
+
+
+def decode_payload(envelope: Dict[str, Any], path) -> Any:
+    """The payload an envelope carries."""
     try:
-        return pickle.loads(zlib.decompress(base64.b64decode(blob)))
+        return pickle.loads(zlib.decompress(base64.b64decode(envelope["payload"])))
     except Exception as exc:  # zlib.error, pickle errors, binascii.Error
         raise CheckpointCorrupt(
-            f"checkpoint {path_s} payload does not decode: {exc}", path=path_s
+            f"checkpoint {path} payload does not decode: {exc}", path=str(path)
         ) from exc
+
+
+def load_checkpoint(
+    path, *, kind: Optional[str] = None, expect_run_key: Optional[str] = None
+) -> Any:
+    """Load and verify a checkpoint; every failure is a structured error."""
+    envelope = read_envelope(path)
+    check_envelope(envelope, path, kind=kind, expect_run_key=expect_run_key)
+    return decode_payload(envelope, path)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +379,12 @@ class StageCheckpoint:
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "run_key",
+    "encode_checkpoint",
     "write_checkpoint",
+    "read_envelope",
+    "verify_digest",
+    "check_envelope",
+    "decode_payload",
     "load_checkpoint",
     "CheckpointPolicy",
     "Checkpointer",

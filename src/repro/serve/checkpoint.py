@@ -4,27 +4,36 @@ The orchestration engine is quiescent between requests — all of its state
 (live allocation layout, sim clock, busy map, streaming trace, obs ledger,
 fault cursor, buffers, conservation counters) is a pure fold over the
 request stream.  A serve checkpoint freezes that fold after request ``k``
-as two files, so that a save costs the same after 50k requests as after 1k:
+in three files, so that a save costs the same after 50k requests as after
+1k and writes no file but in place:
 
-* ``<checkpoint>.log`` — the placement-trace events, one JSON line each,
-  append-only.  Every event value is a plain ``int``/``float``/``str``, so
-  a line decodes to the exact event that was hashed.
-* ``<checkpoint>`` — the digest-protected envelope of
-  :mod:`repro.resilience.checkpoint`, holding only O(live-state): admission
-  order, clocks, busy map, counters, fault cursor, down set, obs, the
-  in-flight completions still pending, and the log offset, event count and
-  trace SHA-256 that state is consistent with.
+* ``<checkpoint>.log`` — the placement trace's canonical lines
+  (:func:`~repro.serve.trace.render_event` plus a newline), append-only.
+  These are the very bytes the trace hash reads, so the SHA-256 of the
+  log's first ``offset`` bytes is the trace fingerprint after the event
+  that ends there.
+* ``<checkpoint>`` and ``<checkpoint>.alt`` — two slots, each holding the
+  digest-protected envelope of :mod:`repro.resilience.checkpoint` for one
+  save: only O(live-state) — admission order, clocks, busy map, counters,
+  fault cursor, down set, obs, the in-flight completions still pending —
+  plus the log offset, event count and trace SHA-256 that state is
+  consistent with, and the save's sequence number.  Save ``n`` goes to
+  slot ``n % 2``, so the other slot holds save ``n - 1``.
 
-Each :meth:`ServeCheckpointer.flush` appends the events added since the
-previous flush and fsyncs the log *before* it atomically replaces the
-envelope.  A crash between the two writes leaves log records past the
-envelope's offset; :func:`resume_engine` decodes the log prefix in one
-pass, re-derives the trace hash, the latency samples and the edge buffers
-from it, refuses with :class:`~repro.resilience.errors.CheckpointCorrupt`
-when the prefix is short or does not match the envelope's count and SHA,
-and truncates the tail.  A SIGKILLed ``repro-serve`` therefore restarts
-with ``--resume`` and a reconnecting load generator converges to the
-identical :class:`~repro.serve.trace.PlacementTrace` fingerprint as an
+Each :meth:`ServeCheckpointer.flush` appends the lines added since the
+previous flush to the log it keeps open and fsyncs it, then writes the
+envelope over the older slot and fsyncs that: two fsyncs, and once both
+slots exist no temp file, rename or directory fsync.  A crash before the
+log fsync leaves both slots pointing into the durable log; a crash before
+the slot fsync can tear that slot, which then fails its digest, and
+resume falls back to the other.  :func:`resume_engine` loads the newest
+slot that passes its digest, hashes the log prefix in one SHA-256 call,
+refuses with :class:`~repro.resilience.errors.CheckpointCorrupt` when the
+prefix is short or does not match the slot's count and SHA, re-derives the
+latency samples and edge buffers from the bytes, and truncates the records
+a crash left past the offset.  A SIGKILLed ``repro-serve`` therefore
+restarts with ``--resume`` and a reconnecting load generator converges to
+the identical :class:`~repro.serve.trace.PlacementTrace` fingerprint as an
 uninterrupted run.
 
 The live allocation is stored as its **admission order** (``client_ids``)
@@ -41,15 +50,23 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import Obs
-from repro.resilience.checkpoint import load_checkpoint, run_key, write_checkpoint
+from repro.resilience.checkpoint import (
+    check_envelope,
+    decode_payload,
+    encode_checkpoint,
+    read_envelope,
+    run_key,
+    verify_digest,
+)
 from repro.resilience.errors import CheckpointCorrupt, CheckpointSchemaMismatch
 from repro.resilience.snapshot import restore_obs, snapshot_obs
 from repro.serve.engine import OrchestrationEngine, ServeConfig
-from repro.serve.trace import PlacementTrace
+from repro.serve.trace import PlacementTrace, parse_event, render_event
 from repro.util.atomic import atomic_write
 
 #: Envelope ``kind`` tag for serve checkpoints.
@@ -59,11 +76,18 @@ SERVE_CHECKPOINT_KIND = "serve"
 DEFAULT_EVERY = 50
 
 #: Layout of the serve payload inside the envelope.  1 (unversioned) held
-#: every trace event and latency sample; 2 holds live state plus the
-#: position in the trace log.
-SERVE_LAYOUT = 2
+#: every trace event and latency sample; 2 held live state plus the
+#: position in a JSON-lines trace log; 3 the same over a log of canonical
+#: lines, in two alternating slots.
+SERVE_LAYOUT = 3
 
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+#: A latency sample in the log: a telemetry or inference event's
+#: ``latency``, and its ``op``, which sorts after it.
+_LATENCY = re.compile(rb" latency=([^ \n]+) (?:[^ \n]+ )*?op=([a-z]+)")
+
+#: Events that fold into an edge buffer: drains, and telemetry a dark hive
+#: stored or refused (the only telemetry with an ``outcome``).
+_BUFFERED = re.compile(rb" op=(?:drain |telemetry (?:[^ \n]+ )*?outcome=)")
 
 
 def log_path(path) -> Path:
@@ -72,9 +96,15 @@ def log_path(path) -> Path:
     return path.with_name(path.name + ".log")
 
 
+def slot_paths(path) -> Tuple[Path, Path]:
+    """The two envelope slots of the checkpoint at ``path``."""
+    path = Path(path)
+    return path, path.with_name(path.name + ".alt")
+
+
 def encode_events(events: List[Dict[str, Any]]) -> bytes:
-    """Trace events as log records: one JSON line each."""
-    return "".join([_encode(event) + "\n" for event in events]).encode("ascii")
+    """Trace events as log records: their canonical lines."""
+    return "".join([render_event(event) + "\n" for event in events]).encode("ascii")
 
 
 def engine_run_key(config: ServeConfig) -> str:
@@ -132,51 +162,42 @@ def _check_layout(payload: Dict[str, Any], path: Optional[str] = None) -> None:
         )
 
 
-def _replay_history(engine: OrchestrationEngine, events: List[Dict[str, Any]]) -> None:
+def _replay_history(engine: OrchestrationEngine, log: bytes) -> None:
     """Re-derive the engine state that is history of the trace, not live state.
 
     Each latency sample is the ``latency`` of a telemetry or inference
     event.  Edge buffers are a fold over the dark-window telemetry they
     stored and the drains that emptied them, both logged as they happened.
+    Both are scanned from the canonical lines without decoding the rest.
     """
-    latencies = engine._latencies
-    for event in events:
-        op = event["op"]
-        if op == "drain":
+    appends = {op.encode("ascii"): samples.append for op, samples in engine._latencies.items()}
+    for latency, op in _LATENCY.findall(log):
+        appends[op](float(latency))
+    for match in _BUFFERED.finditer(log):
+        start = log.rfind(b"\n", 0, match.start()) + 1
+        event = parse_event(log[start:log.index(b"\n", match.end())].decode("ascii"))
+        if event["op"] == "drain":
             engine._buffers[event["hive"]].drain(event["t"], event["payloads"])
-        elif "latency" in event:
-            latencies[op].append(event["latency"])
-        elif op == "telemetry":  # stored (or refused) by a dark hive's buffer
+        else:
             engine._buffer_for(event["hive"]).offer(event["t"], event["bytes"])
 
 
-def restore_engine(
-    config: ServeConfig,
-    payload: Dict[str, Any],
-    events: List[Dict[str, Any]],
-    keep_trace_events: bool = True,
-) -> OrchestrationEngine:
-    """Rebuild an engine that continues bit-identically from ``payload``.
-
-    ``events`` is the trace the payload was frozen after (as logged);
-    a count or SHA-256 that disagrees with the payload raises
-    :class:`~repro.resilience.errors.CheckpointCorrupt`.
-    """
+def _restore(config: ServeConfig, payload: Dict[str, Any], log: bytes,
+             keep_trace_events: bool) -> OrchestrationEngine:
     _check_layout(payload)
     expected = payload["trace"]
-    if len(events) != expected["n_events"]:
+    trace = PlacementTrace.from_log(log, expected["sha256"], keep_events=keep_trace_events)
+    if trace.n_events != expected["n_events"]:
         raise CheckpointCorrupt(
-            f"trace log holds {len(events)} events, the checkpoint expects "
+            f"trace log holds {trace.n_events} events, the checkpoint expects "
             f"{expected['n_events']}"
         )
-    trace = PlacementTrace.from_events(events, keep_events=keep_trace_events)
-    if trace.fingerprint() != expected["sha256"]:
-        raise CheckpointCorrupt("trace log does not hash to the checkpoint's SHA-256")
-    engine = OrchestrationEngine(config, obs=restore_obs(payload["obs"]))
+    engine = OrchestrationEngine(config, obs=restore_obs(payload["obs"]),
+                                 keep_trace_events=keep_trace_events)
     for client_id in payload["clients"]:
         engine.live.admit(client_id)
     engine.trace = trace
-    _replay_history(engine, events)
+    _replay_history(engine, log)
     engine._last_t = payload["last_t"]
     engine._busy_until = {int(h): float(v) for h, v in payload["busy_until"]}
     for done in payload["inflight"]:
@@ -193,8 +214,23 @@ def restore_engine(
     return engine
 
 
-def _read_log(path: Path, offset: int) -> List[Dict[str, Any]]:
-    """Decode the first ``offset`` bytes of a trace log in one pass."""
+def restore_engine(
+    config: ServeConfig,
+    payload: Dict[str, Any],
+    events: List[Dict[str, Any]],
+    keep_trace_events: bool = True,
+) -> OrchestrationEngine:
+    """Rebuild an engine that continues bit-identically from ``payload``.
+
+    ``events`` is the trace the payload was frozen after; a count or
+    SHA-256 that disagrees with the payload raises
+    :class:`~repro.resilience.errors.CheckpointCorrupt`.
+    """
+    return _restore(config, payload, encode_events(events), keep_trace_events)
+
+
+def _read_log(path: Path, offset: int) -> bytes:
+    """The first ``offset`` bytes of a trace log."""
     try:
         with open(path, "rb") as fh:
             data = fh.read(offset)
@@ -205,39 +241,58 @@ def _read_log(path: Path, offset: int) -> List[Dict[str, Any]]:
             f"trace log {path} holds {len(data)} bytes, the checkpoint needs {offset}",
             path=str(path),
         )
-    if not data:
-        return []
-    if not data.endswith(b"\n"):
-        raise CheckpointCorrupt(f"trace log {path} ends mid-record at {offset}", path=str(path))
-    try:
-        events = json.loads(b"[" + data[:-1].replace(b"\n", b",") + b"]")
-    except ValueError as exc:
-        raise CheckpointCorrupt(
-            f"trace log {path} does not decode: {exc}", path=str(path)
-        ) from exc
-    if not all(type(event) is dict and "op" in event for event in events):
-        raise CheckpointCorrupt(f"trace log {path} holds a non-event record", path=str(path))
-    return events
+    return data
+
+
+def _newest_slot(path, config: ServeConfig) -> Dict[str, Any]:
+    """The payload of the newest slot at ``path`` that passes its digest.
+
+    A slot that fails its digest — torn by a crash before its fsync — is
+    skipped; the schema, kind, run-key and layout refusals apply to the
+    newest one that passes.  ``FileNotFoundError`` when neither slot exists.
+    """
+    intact = []
+    missing = 0
+    for slot in slot_paths(path):
+        try:
+            envelope = read_envelope(slot)
+            verify_digest(envelope, slot)
+            payload = decode_payload(envelope, slot)
+        except FileNotFoundError:
+            missing += 1
+            continue
+        except CheckpointCorrupt:
+            continue
+        intact.append((payload.get("seq", -1), slot, envelope, payload))
+    if missing == 2:
+        raise FileNotFoundError(f"no serve checkpoint at {path}")
+    if not intact:
+        raise CheckpointCorrupt(f"both slots of serve checkpoint {path} are torn", path=str(path))
+    _seq, slot, envelope, payload = max(intact, key=lambda entry: entry[0])
+    check_envelope(envelope, slot, kind=SERVE_CHECKPOINT_KIND,
+                   expect_run_key=engine_run_key(config))
+    _check_layout(payload, str(slot))
+    return payload
 
 
 def _resume(path, config: ServeConfig, keep_trace_events: bool):
-    """(engine, log offset) for the checkpoint at ``path``; cuts the log to the offset."""
-    payload = load_checkpoint(
-        path, kind=SERVE_CHECKPOINT_KIND, expect_run_key=engine_run_key(config)
-    )
-    _check_layout(payload, str(path))
+    """(engine, payload) for the checkpoint at ``path``; cuts the log to its offset."""
+    payload = _newest_slot(path, config)
     log = log_path(path)
     offset = payload["log_offset"]
-    engine = restore_engine(config, payload, _read_log(log, offset),
-                            keep_trace_events=keep_trace_events)
+    engine = _restore(config, payload, _read_log(log, offset), keep_trace_events)
     if log.exists() and log.stat().st_size > offset:
         os.truncate(log, offset)  # records a crash left past the envelope
-    return engine, offset
+    return engine, payload
 
 
 def save_engine(path, engine: OrchestrationEngine) -> None:
     """Write one serve checkpoint: a fresh trace log, then the envelope."""
-    ServeCheckpointer(path).flush(engine)
+    checkpointer = ServeCheckpointer(path)
+    try:
+        checkpointer.flush(engine)
+    finally:
+        checkpointer.close()
 
 
 def resume_engine(
@@ -261,34 +316,78 @@ class ServeCheckpointer:
 
     ``engine.handle`` calls :meth:`after_request` once per handled request;
     every ``every`` requests the live state is flushed.  The first flush of
-    an engine starts a new trace log (atomic replace); later flushes append
-    only the events added since the previous one.  :meth:`resume` instead
-    continues the log of the checkpoint it resumes from.
+    an engine deletes both slots and starts a new trace log (atomic
+    replace), so no slot ever points into a log it was not written for;
+    later flushes append only the lines rendered since the previous one.
+    :meth:`resume` instead continues the log of the checkpoint it resumes
+    from.  The checkpointer holds the log and both slots open between
+    saves; :meth:`close` (or dropping it) releases them.
     """
+
+    # What close() releases; set before __init__ can raise.
+    _trace: Optional[PlacementTrace] = None  # whose lines the log holds
+    _log: Optional[Any] = None
+    _slots: Sequence[Optional[Any]] = (None, None)
 
     def __init__(self, path, every: int = DEFAULT_EVERY) -> None:
         if every < 1:
             raise ValueError(f"checkpoint cadence must be >= 1, got {every}")
         self.path = Path(path)
         self.log_path = log_path(path)
+        self.slot_paths = slot_paths(path)
         self.every = int(every)
         self.n_written = 0
         self._since = 0
-        self._engine: Optional[OrchestrationEngine] = None  # whose events the log holds
         self._run_key = ""
-        self._n_logged = 0
         self._offset = 0
+        self._seq = 0  # sequence number of the next save
+        self._slots = [None, None]
 
-    def _bind(self, engine: OrchestrationEngine, offset: int) -> None:
-        self._engine = engine
+    def close(self) -> None:
+        """Release the open log and slot files; the next flush starts a new log."""
+        if self._trace is not None:
+            self._trace.detach_log()
+            self._trace = None
+        for fh in (self._log, *self._slots):
+            if fh is not None:
+                fh.close()
+        self._log = None
+        self._slots = [None, None]
+
+    def __del__(self) -> None:
+        self.close()
+
+    def _bind(self, engine: OrchestrationEngine, offset: int, seq: int) -> None:
+        self._log = open(self.log_path, "ab")
+        self._trace = engine.trace
+        self._trace.attach_log()
         self._run_key = engine_run_key(engine.config)
-        self._n_logged = engine.trace.n_events
         self._offset = offset
+        self._seq = seq
 
-    def resume(self, config: ServeConfig) -> OrchestrationEngine:
+    def _start(self, engine: OrchestrationEngine) -> None:
+        """Begin a new log holding ``engine``'s trace so far."""
+        self.close()
+        trace = engine.trace
+        if trace.n_events and not trace.keep_events:
+            raise RuntimeError(
+                "a trace that keeps no events must be checkpointed from its first event"
+            )
+        for slot in self.slot_paths:
+            try:
+                slot.unlink()
+            except FileNotFoundError:
+                pass
+        data = encode_events(trace.events) if trace.n_events else b""
+        # fsyncs the directory too, so the slots are gone before the new log is in
+        atomic_write(self.log_path, data)
+        self._bind(engine, len(data), 0)
+
+    def resume(self, config: ServeConfig, keep_trace_events: bool = True) -> OrchestrationEngine:
         """Resume from this checkpoint and keep appending to its log."""
-        engine, offset = _resume(self.path, config, keep_trace_events=True)
-        self._bind(engine, offset)
+        self.close()
+        engine, payload = _resume(self.path, config, keep_trace_events)
+        self._bind(engine, payload["log_offset"], payload["seq"] + 1)
         return engine
 
     def after_request(self, engine: OrchestrationEngine) -> None:
@@ -297,30 +396,43 @@ class ServeCheckpointer:
             self._since = 0
             self.flush(engine)
 
-    def flush(self, engine: OrchestrationEngine) -> None:
-        """Make the log durable up to ``engine``'s last event, then replace the envelope."""
-        if engine is not self._engine:
-            data = encode_events(engine.trace.events)
-            atomic_write(self.log_path, data)
-            self._bind(engine, len(data))
-        elif engine.trace.n_events > self._n_logged:
-            data = encode_events(engine.trace.events[self._n_logged:])
+    def _write_slot(self, data: bytes) -> None:
+        index = self._seq % 2
+        fh = self._slots[index]
+        if fh is None:
             try:
-                with open(self.log_path, "ab") as fh:
-                    fh.write(data)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            except BaseException:
-                self._engine = None  # the tail is unknown: the next flush starts a new log
-                raise
-            self._n_logged = engine.trace.n_events
-            self._offset += len(data)
-        write_checkpoint(
-            self.path,
-            {**snapshot_engine(engine), "log_offset": self._offset},
-            kind=SERVE_CHECKPOINT_KIND,
-            run_key=self._run_key,
-        )
+                fh = open(self.slot_paths[index], "r+b")
+            except FileNotFoundError:
+                atomic_write(self.slot_paths[index], data)  # a new slot appears whole
+                self._slots[index] = open(self.slot_paths[index], "r+b")
+                return
+            self._slots[index] = fh
+        fh.seek(0)
+        fh.write(data)
+        fh.truncate()
+        fh.flush()
+        os.fsync(fh.fileno())
+
+    def flush(self, engine: OrchestrationEngine) -> None:
+        """Make the log durable up to ``engine``'s last event, then write the
+        envelope over the older slot; both are on disk when this returns."""
+        if engine.trace is not self._trace:
+            self._start(engine)
+        try:
+            data = engine.trace.take_lines()
+            if data:
+                self._log.write(data)
+                self._log.flush()
+                os.fsync(self._log.fileno())
+                self._offset += len(data)
+            payload = {**snapshot_engine(engine), "log_offset": self._offset, "seq": self._seq}
+            self._write_slot(encode_checkpoint(
+                payload, kind=SERVE_CHECKPOINT_KIND, run_key=self._run_key,
+            ))
+        except BaseException:
+            self.close()  # what reached the files is unknown: the next flush starts anew
+            raise
+        self._seq += 1
         self.n_written += 1
 
 
@@ -329,6 +441,7 @@ __all__ = [
     "DEFAULT_EVERY",
     "SERVE_LAYOUT",
     "log_path",
+    "slot_paths",
     "encode_events",
     "engine_run_key",
     "snapshot_engine",

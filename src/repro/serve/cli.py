@@ -19,13 +19,19 @@ to the fault-free serving layer):
   :class:`~repro.serve.faults.ServeFaultSpec`;
 * ``--queue-bound`` enables deterministic overload shedding (503 +
   Retry-After, telemetry shed before inference);
-* ``--checkpoint FILE`` writes a crash checkpoint every
-  ``--checkpoint-every`` requests (``FILE`` plus its append-only trace log
-  ``FILE.log``); a SIGKILLed process restarts with the same arguments plus
-  ``--resume`` and continues bit-identically.  ``--resume`` with a missing
-  checkpoint file starts fresh (first boot and resumed boot share one
-  command line); a checkpoint written under a *different* config refuses
-  with exit code 3.
+* ``--checkpoint FILE`` writes a crash checkpoint at boot and every
+  ``--checkpoint-every`` requests: ``FILE.log`` holds the placement trace's
+  canonical lines, append-only, and ``FILE`` and its sibling ``FILE.alt``
+  take turns holding the envelope of the newest save.  A SIGKILLed process
+  restarts with the same arguments plus ``--resume`` and continues
+  bit-identically.  ``--resume`` with no checkpoint file starts fresh
+  (first boot and resumed boot share one command line); a checkpoint
+  written under a *different* config, or in an older layout, refuses with
+  exit code 3.  A path that cannot be written exits 2 at boot, before the
+  port file appears; a save that fails later stops the server without
+  answering the request that triggered it and exits 4.
+
+Trace events are kept in memory only when ``--trace-out`` will write them.
 """
 
 from __future__ import annotations
@@ -33,13 +39,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core.calibration import CYCLE_SECONDS
 from repro.core.placement import POLICY_KINDS
 from repro.resilience.errors import CheckpointError
-from repro.serve.checkpoint import DEFAULT_EVERY, ServeCheckpointer
+from repro.serve.checkpoint import DEFAULT_EVERY, ServeCheckpointer, slot_paths
 from repro.serve.engine import OrchestrationEngine, ServeConfig
 from repro.serve.faults import ServeFaultSpec
 from repro.serve.http import make_server, serve_until_signal
@@ -138,6 +143,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 2
+    if args.checkpoint_every < 1:
+        print("error: --checkpoint-every must be >= 1", file=sys.stderr)
+        return 2
     try:
         config = ServeConfig(
             model=args.model,
@@ -153,19 +161,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    keep_events = args.trace_out is not None
     checkpointer = (
         ServeCheckpointer(args.checkpoint, args.checkpoint_every) if args.checkpoint else None
     )
-    resumed = False
-    if args.resume and Path(args.checkpoint).exists():
-        try:
-            engine = checkpointer.resume(config)
-        except CheckpointError as exc:
-            print(f"error: cannot resume from {args.checkpoint}: {exc}", file=sys.stderr)
-            return 3
-        resumed = True
-    else:
-        engine = OrchestrationEngine(config)
+    resumed = args.resume and any(slot.exists() for slot in slot_paths(args.checkpoint))
+    try:
+        if resumed:
+            engine = checkpointer.resume(config, keep_trace_events=keep_events)
+        else:
+            engine = OrchestrationEngine(config, keep_trace_events=keep_events)
+        if checkpointer is not None:
+            checkpointer.flush(engine)  # a path that cannot be written fails here
+    except CheckpointError as exc:
+        print(f"error: cannot resume from {args.checkpoint}: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"error: cannot write checkpoint {args.checkpoint}: {exc}", file=sys.stderr)
+        return 2
     engine.checkpointer = checkpointer
 
     server = make_server(engine, args.host, args.port)
@@ -176,9 +189,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"repro-serve listening on http://{args.host}:{port}/v1/ "
           f"(policy={config.policy}, model={config.model}, {state}, "
           f"requests={engine.n_requests})", file=sys.stderr)
-    signum = serve_until_signal(server)
-    if engine.checkpointer is not None:
-        engine.checkpointer.flush(engine)
+    try:
+        signum = serve_until_signal(server)
+        if checkpointer is not None:
+            checkpointer.flush(engine)
+    except OSError as exc:
+        print(f"error: checkpoint save failed, serving stopped: {exc}; "
+              "restart with --resume to continue from the last save", file=sys.stderr)
+        return 4
+    finally:
+        if checkpointer is not None:
+            checkpointer.close()
     report = engine.report()
     report["shutdown_signal"] = signum
     report["resumed"] = resumed

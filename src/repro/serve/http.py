@@ -19,7 +19,10 @@ Graceful shutdown: SIGTERM/SIGINT set a flag and stop the accept loop from
 a helper thread (``HTTPServer.shutdown`` must not be called from the
 serving thread); the process then flushes the final obs snapshot and the
 full placement trace before exiting 0, so a supervised rollout never loses
-the run's telemetry.
+the run's telemetry.  An exception out of the engine — a checkpoint save
+that failed — instead stops the server at once, with the request that
+raised it unanswered (crash-only: the caller exits and resumes from the
+last save).
 """
 
 from __future__ import annotations
@@ -49,13 +52,22 @@ IDLE_POLL_S = 0.05
 
 
 class _Server(HTTPServer):
-    """``HTTPServer`` whose handlers can see that shutdown has begun."""
+    """``HTTPServer`` whose handlers can see that shutdown has begun.
+
+    ``failure`` is an exception the engine raised while handling a request;
+    the serving loop stops at once and re-raises it.
+    """
 
     stopping = False
+    failure: Optional[Exception] = None
 
     def shutdown(self) -> None:
         self.stopping = True
         super().shutdown()
+
+    def service_actions(self) -> None:  # runs after every request the loop serves
+        if self.failure is not None:
+            raise self.failure
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -141,6 +153,21 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(status, {"ok": False, "error": error}, headers={"Connection": "close"})
         return None
 
+    def _answer(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """The engine's response, or None when the engine raised.
+
+        The engine never raises on a bad request, so an exception means its
+        state is in doubt (a checkpoint save failed after the request was
+        applied): the request goes unanswered, its connection closes, and
+        the server stops rather than apply a re-sent copy.
+        """
+        try:
+            return self.engine.handle(request)
+        except Exception as exc:  # noqa: BLE001 — re-raised by the serving loop
+            self.server.failure = exc
+            self.close_connection = True
+            return None
+
     def _route(self) -> Optional[str]:
         if not self.path.startswith(API_PREFIX):
             return None
@@ -151,7 +178,9 @@ class _Handler(BaseHTTPRequestHandler):
         if self._read_body() is None:
             return
         if self._route() == "health":
-            self._reply(200, self.engine.handle({"op": "health"}))
+            response = self._answer({"op": "health"})
+            if response is not None:
+                self._reply(200, response)
         else:
             self._reply(404, {"ok": False, "error": f"no such endpoint: {self.path}"})
 
@@ -171,7 +200,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(400, {"ok": False, "op": op, "error": f"bad request body: {exc}"})
             return
         request["op"] = op
-        response = self.engine.handle(request)
+        response = self._answer(request)
+        if response is None:
+            return
         if response.get("shed"):
             # Deterministic overload rejection: 503 plus the engine's hint
             # for when the oldest in-flight request frees a queue slot.
@@ -212,6 +243,8 @@ def drain_pending(server: HTTPServer, budget_s: float = DRAIN_BUDGET_S) -> int:
             break  # backlog empty — nothing left to answer
         server.handle_request()
         drained += 1
+        if server.failure is not None:
+            raise server.failure
     return drained
 
 
@@ -221,7 +254,9 @@ def serve_until_signal(server: HTTPServer) -> int:
     Restores the previous handlers on exit so embedding callers (tests)
     keep their signal disposition.  Before the socket closes, the accept
     backlog is drained (:func:`drain_pending`) so a graceful stop never
-    drops an already-connected client.
+    drops an already-connected client.  An exception the engine raised
+    while handling a request stops the server without draining, and is
+    re-raised here.
     """
     got = {"signum": 0}
 

@@ -74,6 +74,12 @@ def test_truncate_serve_log_refuses_short_and_cuts_torn_tail():
     assert "the finished replay the uninterrupted one" in detail
 
 
+def test_tear_serve_envelope_falls_back_to_the_previous_save():
+    detail = chaos.scenario_tear_serve_envelope()
+    assert "fell back to the previous save" in detail
+    assert "matched the uninterrupted one" in detail
+
+
 # -- CLI surface --------------------------------------------------------------
 
 

@@ -4,11 +4,12 @@ Covers the serving layer's survival story end to end — the compiled fault
 timetable, mid-replay server death and repack, dark-window buffering,
 deterministic overload shedding with the ``offered == served + shed +
 errored`` conservation partition, the checkpoint/resume round trip, the
-bounded checkpoint (live-state envelope plus trace log) and the request
-clock's guard against non-finite times — plus two Hypothesis nets:
-conservation under arbitrary request interleavings, and
-live-equals-batch-fold across every placement policy under
-fail/repack/recover churn.
+bounded checkpoint (two envelope slots plus a log of the trace's canonical
+lines) and its crash windows, the serve CLI's save failures and the
+request clock's guard against non-finite times — plus Hypothesis nets:
+the canonical line parser against the renderer, conservation under
+arbitrary request interleavings, and live-equals-batch-fold across every
+placement policy under fail/repack/recover churn.
 """
 
 import dataclasses
@@ -31,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.placement import POLICY_KINDS
 from repro.loadgen.arrivals import LoadSpec
-from repro.loadgen.replay import iter_requests, replay_in_process
+from repro.loadgen.replay import HttpTransport, iter_requests, replay_in_process
 from repro.resilience.checkpoint import load_checkpoint, write_checkpoint
 from repro.resilience.errors import (
     CheckpointCorrupt,
@@ -48,11 +49,13 @@ from repro.serve.checkpoint import (
     restore_engine,
     resume_engine,
     save_engine,
+    slot_paths,
     snapshot_engine,
 )
 from repro.serve.engine import OrchestrationEngine, ServeConfig
 from repro.serve.faults import SERVER_FAIL, SERVER_RECOVER, ServeFaultSpec
 from repro.serve.http import drain_pending, make_server
+from repro.serve.trace import EVENT_KEYS, parse_event, render_event
 from repro.validate import ServeConservation
 from repro.validate.invariants import run_checkers
 
@@ -330,30 +333,34 @@ class TestShedding:
         assert (engine.n_shed > 0) == (config.queue_bound is not None)
 
     @pytest.mark.parametrize(
-        "config, trace_sha, answers_sha",
+        "config, trace_sha, answers_sha, envelopes_sha",
         [
             (ServeConfig(),
              "0a2ba0ecf68754ffec97c1fef3fda69f286092ae7635595d3eedfec1f54bbee1",
-             "bde909d461fdf54ec4449996c6054f94cde369b1f6bd15c51a500e1411ad109c"),
+             "93e1b454a54d4de2e3988a3e3e4b002742485c5776fd290dd1419edf66b839aa",
+             "49fc847c6ed038ec9bb166137b96c2bed5c50a34b9593b1bbbd2f4e68a7506a0"),
             (ServeConfig(queue_bound=4, faults=FAULTS),
              "3491551c0f765afa7f76c2d596191c72ef117229786f395e54b4348084a5c7f5",
-             "f71ca6e5910af3ea276a00370da7a4803fe7ab40ce8554b044d5a028928d7e8d"),
+             "acf8a71ae82f4e923c2221fe5fcf72c77fa046782e9b4d9b729a623befe921ae",
+             "24fe7ab74192cf3c6dfa01cc9e412f6ae05f8e3f6c8f5e0b1b12b5ac5abefacc"),
         ],
         ids=["unbounded", "bounded-faulty"],
     )
-    def test_pruning_at_arrival_changes_no_answer(self, config, trace_sha, answers_sha):
-        """Responses, health answers, envelopes and trace SHA are pinned from
-        the engine that pruned in-flight work only to shed or answer health."""
+    def test_pruning_at_arrival_changes_no_answer(self, config, trace_sha, answers_sha,
+                                                  envelopes_sha):
+        """Responses, health answers and trace SHA are pinned from the engine
+        that pruned in-flight work only to shed or answer health; envelopes,
+        which carry the payload layout, have a pin of their own."""
         engine = OrchestrationEngine(config)
-        digest = hashlib.sha256()
+        answers, envelopes = hashlib.sha256(), hashlib.sha256()
         for index, request in enumerate(iter_requests(LOAD)):
-            answers = [engine.handle(dict(request))]
+            answers.update(json.dumps(engine.handle(dict(request)), sort_keys=True).encode())
             if index % 25 == 0:
-                answers += [engine.handle({"op": "health"}), snapshot_engine(engine)]
-            for answer in answers:
-                digest.update(json.dumps(answer, sort_keys=True).encode())
+                answers.update(json.dumps(engine.handle({"op": "health"}), sort_keys=True).encode())
+                envelopes.update(json.dumps(snapshot_engine(engine), sort_keys=True).encode())
         assert engine.trace.fingerprint() == trace_sha
-        assert digest.hexdigest() == answers_sha
+        assert answers.hexdigest() == answers_sha
+        assert envelopes.hexdigest() == envelopes_sha
 
     def test_unbounded_engine_never_sheds(self):
         engine = OrchestrationEngine(ServeConfig())
@@ -524,7 +531,9 @@ class TestBoundedCheckpoint:
         save_engine(path, engine)
         log = log_path(path)
         intact = log.read_bytes()
-        log.write_bytes(intact.replace(b'"t":3.0', b'"t":4.0', 1))  # same length
+        tampered = intact.replace(b"t=3.0", b"t=4.0", 1)  # same length
+        assert tampered != intact
+        log.write_bytes(tampered)
         with pytest.raises(CheckpointCorrupt):
             resume_engine(path, ServeConfig())
         log.unlink()
@@ -557,6 +566,239 @@ class TestBoundedCheckpoint:
 
         assert main(["--port", "0", "--checkpoint", str(path), "--resume"]) == 3
         assert "payload layout 1" in capsys.readouterr().err
+
+
+#: Event values of every form a canonical line holds: ints of any size and
+#: sign, finite floats (the edge cases of ``repr`` among them) and words.
+_VALUES = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([2**63, 2**63 + 1, -(2**63) - 1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e22, -1e22, 1e-05, 0.1 + 0.2]),
+    st.from_regex(r"\A[A-Za-z][A-Za-z0-9_-]{0,15}\Z"),
+    st.sampled_from(["link-dark", "upload-costs-more-than-local-inference", "server-fail"]),
+)
+_EVENTS = st.dictionaries(st.sampled_from(sorted(EVENT_KEYS)), _VALUES, min_size=1)
+
+
+def _typed(event):
+    """An event with each value's exact form: type, sign of zero, every bit."""
+    return {key: (type(value), repr(value)) for key, value in event.items()}
+
+
+class TestCanonicalLog:
+    """The log holds the trace's own canonical lines, and they parse back exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(event=_EVENTS)
+    def test_parse_inverts_render(self, event):
+        line = render_event(event)
+        parsed = parse_event(line)
+        assert _typed(parsed) == _typed(event)
+        assert render_event(parsed) == line
+
+    @pytest.mark.parametrize("line", [
+        "colour=red op=admit",  # unknown key
+        "hive=3 op",  # missing "="
+        "hive3 op=admit",
+        "hive=3  op=admit",  # doubled space
+        " hive=3 op=admit",
+        "hive=3 op=admit ",
+        "hive=3 op=admité",  # non-ASCII
+        "hive=3 hive=4",  # repeated key
+        "t=-inf",  # not finite
+        "t=-Infinity",
+        "t=1.5x",
+        'op="admit"',
+        "op=adm\\u0069t",
+        "hive=\t3",
+        "",
+    ])
+    def test_lines_no_event_renders_to_are_refused(self, line):
+        with pytest.raises(CheckpointCorrupt):
+            parse_event(line)
+
+    def test_the_log_hashes_to_the_trace_fingerprint(self, tmp_path):
+        path = tmp_path / "serve.ckpt"
+        engine = OrchestrationEngine(TestBoundedCheckpoint.CONFIG)
+        engine.checkpointer = ServeCheckpointer(path, every=7)
+        for request in iter_requests(LOAD):
+            engine.handle(dict(request))
+        engine.checkpointer.flush(engine)
+        log = log_path(path).read_bytes()
+        assert hashlib.sha256(log).hexdigest() == engine.trace.fingerprint()
+        assert log == encode_events(engine.trace.events)
+        for op in ("server-fail", "drain", "shed"):
+            assert f" op={op} ".encode() in log, f"no {op} event — fix the fixture"
+
+
+class TestEnvelopeSlots:
+    """Two slots written in place: a torn newest one falls back to the other."""
+
+    def _saves(self, tmp_path):
+        """Five saves, the newest over a longer envelope in place; returns the
+        checkpoint path, the engine, and (slot, bytes) of each save."""
+        path = tmp_path / "serve.ckpt"
+        engine = OrchestrationEngine(ServeConfig())
+        checkpointer = ServeCheckpointer(path)
+        admits = [{"op": "admit", "hive": h, "t": 0.0} for h in range(400)]
+        releases = [{"op": "release", "hive": h, "t": 1.0} for h in range(395)]
+        uploads = [{"op": "telemetry", "hive": 396, "t": 2.0 + i} for i in range(5)]
+        written = []
+        for requests in ([], admits, [], releases, uploads):
+            for request in requests:
+                engine.handle(request)
+            checkpointer.flush(engine)
+            slots = [slot for slot in slot_paths(path) if slot.exists()]
+            newest = max(slots, key=lambda slot: load_checkpoint(slot)["seq"])
+            written.append((newest, newest.read_bytes()))
+        checkpointer.close()
+        return path, engine, written
+
+    def test_torn_newest_slot_falls_back_and_truncates_the_log(self, tmp_path):
+        path, engine, written = self._saves(tmp_path)
+        (newest, new), (previous_slot, _), (_, old) = written[4], written[3], written[2]
+        assert newest != previous_slot and written[2][0] == newest
+        assert len(old) > len(new), "the overwritten envelope must be the longer one"
+        previous = load_checkpoint(previous_slot)
+        log = log_path(path)
+        full_log = log.read_bytes()
+        assert len(full_log) > previous["log_offset"]
+        tears = [(new[:cut], not new[cut:].strip()) for cut in range(len(new))]
+        tears.append((new + old[len(new):], False))  # written, but not yet cut to length
+        for torn, whole in tears:
+            newest.write_bytes(torn)
+            log.write_bytes(full_log)
+            resumed = resume_engine(path, ServeConfig(), keep_trace_events=False)
+            if whole:  # only the trailing newline was lost
+                assert resumed.n_requests == engine.n_requests
+                continue
+            assert resumed.n_requests == previous["counters"]["n_requests"]
+            assert resumed.trace.fingerprint() == previous["trace"]["sha256"]
+            assert log.read_bytes() == full_log[: previous["log_offset"]]
+
+    def test_both_slots_torn_is_corrupt(self, tmp_path):
+        path, _engine, _written = self._saves(tmp_path)
+        for slot in slot_paths(path):
+            slot.write_bytes(slot.read_bytes()[:-40])
+        with pytest.raises(CheckpointCorrupt):
+            resume_engine(path, ServeConfig())
+
+    def test_a_save_is_two_fsyncs_and_writes_in_place(self, tmp_path, monkeypatch):
+        path = tmp_path / "serve.ckpt"
+        engine = OrchestrationEngine(ServeConfig())
+        engine.checkpointer = ServeCheckpointer(path, every=5)
+        for i in range(10):  # two saves: both slots exist from here on
+            engine.handle({"op": "telemetry", "hive": 0, "t": float(i)})
+        inodes = {p: p.stat().st_ino for p in (log_path(path), *slot_paths(path))}
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
+        monkeypatch.setattr(os, "replace", lambda *a: pytest.fail("a save renamed a file"))
+        for i in range(10, 30):
+            engine.handle({"op": "telemetry", "hive": 0, "t": float(i)})
+        monkeypatch.undo()
+        assert engine.checkpointer.n_written == 6
+        assert len(fsyncs) == 2 * 4
+        assert {p: p.stat().st_ino for p in inodes} == inodes
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_dropped_checkpointers_leak_no_descriptor(self, tmp_path):
+        def open_files():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_files()
+        for _ in range(5):  # one checkpointer per replay, dropped with its engine
+            engine = OrchestrationEngine(ServeConfig())
+            engine.checkpointer = ServeCheckpointer(tmp_path / "serve.ckpt", every=2)
+            for i in range(6):
+                engine.handle({"op": "telemetry", "hive": 0, "t": float(i)})
+            assert open_files() == before + 3  # the log and both slots
+        del engine
+        assert open_files() == before
+
+    def test_crash_at_any_fsync_resumes_a_completed_save(self, tmp_path, monkeypatch):
+        """Rebuild the files from only the bytes fsynced before each fsync
+        boundary of four saves: a killed process keeps the OS cache, so the
+        writes a power cut would lose are discarded here."""
+        config = ServeConfig(queue_bound=8, faults=FAULTS)
+        requests = list(iter_requests(LOAD))[:200]
+        reference = OrchestrationEngine(config)
+        for request in requests:
+            reference.handle(dict(request))
+        path = tmp_path / "serve.ckpt"
+        files = (log_path(path), *slot_paths(path))
+        engine = OrchestrationEngine(config)
+        engine.checkpointer = ServeCheckpointer(path, every=20)
+        for request in requests[:60]:  # saves at 20, 40 and 60 requests: both slots exist
+            engine.handle(dict(request))
+        durable = {f: f.read_bytes() for f in files}
+        saved = [40, 60]  # request counts of the two newest completed saves
+        crashes = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced = next(f for f in files if f.stat().st_ino == os.fstat(fd).st_ino)
+            crashes.append((dict(durable), saved[-2:]))  # its new bytes are lost
+            real_fsync(fd)
+            durable[synced] = synced.read_bytes()
+            if synced != files[0]:  # a slot: the save is complete
+                saved.append(engine.n_requests)
+            crashes.append((dict(durable), saved[-2:]))
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        for request in requests[60:140]:
+            engine.handle(dict(request))
+        monkeypatch.undo()
+        assert len(crashes) == 4 * 2 * 2
+        for index, (contents, completed) in enumerate(crashes):
+            crash = tmp_path / f"crash-{index}" / path.name
+            crash.parent.mkdir()
+            for f, data in contents.items():
+                crash.with_name(f.name).write_bytes(data)
+            checkpointer = ServeCheckpointer(crash, every=20)
+            resumed = checkpointer.resume(config)
+            assert resumed.n_requests in completed
+            resumed.checkpointer = checkpointer
+            for request in requests[resumed.n_requests:]:
+                resumed.handle(dict(request))
+            checkpointer.close()
+            assert resumed.trace.fingerprint() == reference.trace.fingerprint()
+            assert resumed.report() == reference.report()
+
+    def test_a_trace_without_events_is_checkpointed_from_its_first_event(self, tmp_path):
+        path = tmp_path / "serve.ckpt"
+        engine = OrchestrationEngine(ServeConfig(), keep_trace_events=False)
+        engine.checkpointer = ServeCheckpointer(path, every=3)
+        engine.checkpointer.flush(engine)  # binds the log before the first event
+        for i in range(7):
+            engine.handle({"op": "telemetry", "hive": 0, "t": float(i)})
+        engine.checkpointer.flush(engine)
+        resumed = resume_engine(path, ServeConfig(), keep_trace_events=False)
+        assert resumed.trace.fingerprint() == engine.trace.fingerprint()
+        assert resumed._latencies == engine._latencies
+        late = OrchestrationEngine(ServeConfig(), keep_trace_events=False)
+        late.handle({"op": "telemetry", "hive": 0, "t": 0.0})
+        with pytest.raises(RuntimeError, match="from its first event"):
+            save_engine(tmp_path / "late.ckpt", late)
+
+    def test_layout_2_checkpoint_is_refused(self, tmp_path, capsys):
+        """The previous layout: one envelope, and a log of JSON lines."""
+        path = tmp_path / "serve.ckpt"
+        engine = OrchestrationEngine(ServeConfig())
+        for i in range(4):
+            engine.handle({"op": "telemetry", "hive": 0, "t": float(i)})
+        log = "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in engine.trace.events)
+        log_path(path).write_bytes(log.encode("ascii"))
+        payload = {**snapshot_engine(engine), "layout": 2, "log_offset": len(log)}
+        write_checkpoint(path, payload, kind="serve", run_key=engine_run_key(ServeConfig()))
+        with pytest.raises(CheckpointSchemaMismatch) as exc:
+            resume_engine(path, ServeConfig())
+        assert (exc.value.found, exc.value.expected) == (2, SERVE_LAYOUT)
+        from repro.serve.cli import main
+
+        assert main(["--port", "0", "--checkpoint", str(path), "--resume"]) == 3
+        assert "payload layout 2" in capsys.readouterr().err
 
 
 class TestRequestBoundary:
@@ -655,6 +897,28 @@ class TestDrainPending:
         finally:
             server.server_close()
 
+    def test_engine_failure_stops_the_server_unanswered(self):
+        class FailingSave:  # a checkpoint save that fails after the request applied
+            def after_request(self, engine):
+                raise OSError("disk gone")
+
+        engine = OrchestrationEngine(ServeConfig())
+        engine.checkpointer = FailingSave()
+        server = make_server(engine, "127.0.0.1", 0)
+        try:
+            body = json.dumps({"hive": 1, "t": 0.0}).encode()
+            with socket.create_connection(server.server_address, timeout=5) as sock:
+                sock.sendall(
+                    b"POST /v1/admit HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                )
+                with pytest.raises(OSError, match="disk gone"):
+                    drain_pending(server, budget_s=5.0)
+                assert sock.recv(65536) == b""  # closed without an answer
+            assert engine.n_requests == 1
+        finally:
+            server.server_close()
+
     def test_empty_backlog_drains_zero_quickly(self):
         engine = OrchestrationEngine(ServeConfig())
         server = make_server(engine, "127.0.0.1", 0)
@@ -666,7 +930,7 @@ class TestDrainPending:
             server.server_close()
 
 
-def _boot_resilient_server(tmp: Path, *extra: str):
+def _boot_resilient_server(tmp: Path, *extra: str, stderr=subprocess.DEVNULL):
     """Start repro-serve with resilience flags on an ephemeral port."""
     port_file = tmp / "port"
     env = dict(os.environ)
@@ -680,7 +944,7 @@ def _boot_resilient_server(tmp: Path, *extra: str):
             "--port", "0", "--port-file", str(port_file), *extra,
         ],
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=stderr,
         env=env,
     )
     deadline = time.monotonic() + 30.0
@@ -735,3 +999,110 @@ class TestHttpResilience:
         from repro.serve.cli import main
 
         assert main(["--resume"]) == 2
+
+
+class TestServeCliCheckpoint:
+    """A save either lands or the server stops: a request is never applied twice."""
+
+    def test_unwritable_checkpoint_exits_2_before_the_port_file(self, tmp_path, capsys):
+        from repro.serve.cli import main
+
+        missing = tmp_path / "no-such-dir" / "serve.ckpt"
+        port_file = tmp_path / "port"
+        argv = ["--port", "0", "--port-file", str(port_file), "--checkpoint", str(missing)]
+        assert main(argv) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not port_file.exists()
+
+    def test_zero_checkpoint_cadence_exits_2(self, tmp_path, capsys):
+        from repro.serve.cli import main
+
+        argv = ["--port", "0", "--checkpoint", str(tmp_path / "c"), "--checkpoint-every", "0"]
+        assert main(argv) == 2
+        assert "--checkpoint-every must be >= 1" in capsys.readouterr().err
+
+    def test_failed_save_mid_run_stops_unanswered_and_exits_4(self, tmp_path):
+        ckpt = tmp_path / "serve.ckpt"
+        requests = list(iter_requests(LOAD))[:12]
+        flags = ("--checkpoint", str(ckpt), "--checkpoint-every", "3", "--resume")
+        proc, url = _boot_resilient_server(tmp_path, *flags, stderr=subprocess.PIPE)
+        blocker = slot_paths(ckpt)[1]
+        blocker.mkdir()  # the second save cannot put its slot in place
+        try:
+            with HttpTransport(url, max_attempts=2, backoff_s=0.05) as transport:
+                answers = [transport.send(dict(request)) for request in requests[:3]]
+            assert [a.get("error_class") for a in answers[:2]] == [None, None]
+            assert answers[2]["ok"] is False and answers[2].get("error_class")
+            assert proc.wait(timeout=30) == 4
+            err = proc.stderr.read().decode()
+            assert "Traceback" not in err
+            assert err.splitlines()[-1].startswith("error: checkpoint save failed")
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+            proc.stderr.close()
+            proc.stdout.close()
+
+        blocker.rmdir()
+        (tmp_path / "port").unlink()
+        proc, url = _boot_resilient_server(tmp_path, *flags)
+        try:
+            with HttpTransport(url) as transport:
+                offered = transport.health()["offered"]
+                assert offered == 0  # the failed save's request was never made durable
+                for request in requests:
+                    assert "error_class" not in transport.send(dict(request))
+            proc.send_signal(signal.SIGTERM)
+            stdout, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        reference = OrchestrationEngine(ServeConfig())
+        for request in requests:
+            reference.handle(dict(request))
+        report = json.loads(stdout)
+        assert report["offered"] == len(requests)
+        assert report["trace"]["sha256"] == reference.trace.fingerprint()
+
+    @pytest.mark.parametrize("trace_out", [False, True], ids=["no-trace-out", "trace-out"])
+    def test_sigkilled_server_resumes_to_the_in_process_fold(self, tmp_path, trace_out):
+        """Events stay in memory only for ``--trace-out``; either way the
+        resumed server's trace is the in-process fold's."""
+        requests = list(iter_requests(LOAD))[:90]
+        reference = OrchestrationEngine(ServeConfig())
+        for request in requests:
+            reference.handle(dict(request))
+        trace_file = tmp_path / "trace.json"
+        flags = ["--checkpoint", str(tmp_path / "serve.ckpt"), "--checkpoint-every", "7",
+                 "--resume"] + (["--trace-out", str(trace_file)] if trace_out else [])
+        proc, url = _boot_resilient_server(tmp_path, *flags)
+        try:
+            with HttpTransport(url) as transport:
+                for request in requests[:50]:
+                    assert "error_class" not in transport.send(dict(request))
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+            (tmp_path / "port").unlink()
+            proc, url = _boot_resilient_server(tmp_path, *flags)
+            with HttpTransport(url) as transport:
+                offered = transport.health()["offered"]
+                assert 0 < offered <= 50
+                for request in requests[offered:]:
+                    assert "error_class" not in transport.send(dict(request))
+            proc.send_signal(signal.SIGTERM)
+            stdout, _ = proc.communicate(timeout=30)
+            assert proc.returncode == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        report = json.loads(stdout)
+        assert report["offered"] == len(requests)
+        assert report["trace"]["sha256"] == reference.trace.fingerprint()
+        if trace_out:
+            assert json.loads(trace_file.read_text())["events"] == reference.trace.events
+        else:
+            assert not trace_file.exists()
