@@ -15,7 +15,6 @@ the accuracy-vs-image-size behaviour of the paper's Figure 5.
 
 from repro.audio.synth import HiveSoundSynthesizer, SynthParams, QUEENRIGHT, QUEENLESS
 from repro.audio.dataset import QueenDataset, DatasetSpec
-from repro.audio.augment import Augmenter, time_shift, add_noise, gain, polarity_invert
 
 __all__ = [
     "HiveSoundSynthesizer",
@@ -24,9 +23,4 @@ __all__ = [
     "QUEENLESS",
     "QueenDataset",
     "DatasetSpec",
-    "Augmenter",
-    "time_shift",
-    "add_noise",
-    "gain",
-    "polarity_invert",
 ]

@@ -49,8 +49,6 @@ from repro.core.adaptive import (
     AdaptiveRunResult,
     simulate_adaptive_week,
 )
-from repro.core.planner import PlacementPlan, PlacementOption, plan_placement, breakeven_grid_weight
-from repro.core.sizing import BatterySizing, minimum_battery_for_uptime, servers_for_fleet
 from repro.core.mixed import ClientGroup, MixedFleetResult, simulate_mixed_fleet
 
 __all__ = [
@@ -95,13 +93,6 @@ __all__ = [
     "DutyCyclePolicy",
     "AdaptiveRunResult",
     "simulate_adaptive_week",
-    "PlacementPlan",
-    "PlacementOption",
-    "plan_placement",
-    "breakeven_grid_weight",
-    "BatterySizing",
-    "minimum_battery_for_uptime",
-    "servers_for_fleet",
     "ClientGroup",
     "MixedFleetResult",
     "simulate_mixed_fleet",

@@ -143,11 +143,6 @@ class FillingPolicy(Protocol):
     def allocate(self, client_ids: Sequence[int], plan: SlotPlan) -> Allocation: ...
 
 
-#: Historical name for the shared batch-as-a-fold entry point; the policy
-#: hierarchy now lives in :mod:`repro.core.placement`.
-_FoldPolicy = PlacementPolicy
-
-
 def repack_failed_server(
     allocation: Allocation, failed_server_index: int,
     policy: Optional[object] = None,

@@ -60,9 +60,6 @@ from repro.core.placement import (
 from repro.core.server import SlotPlan
 from repro.validate.errors import InvariantViolation
 
-#: Kinds with a specialized O(n) materialize fast path (the PR 8 trio).
-_FAST_MATERIALIZE = ("first-fit", "round-robin", "balanced")
-
 
 class AdmissionFull(RuntimeError):
     """Raised by :meth:`LiveAllocation.admit` when the server budget is spent.

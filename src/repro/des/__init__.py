@@ -8,13 +8,12 @@ mid-cycle, per-event energy ledgers).
 
 Design: a binary-heap event queue ordered by ``(time, priority, sequence)``
 (sequence breaks ties FIFO, which makes runs deterministic), generator-based
-processes in the style of SimPy, and capacity-limited resources for server
-time slots.
+processes in the style of SimPy, and monitors that log events and state
+timelines.
 """
 
 from repro.des.engine import Engine, Event, Interrupt, SimulationError
 from repro.des.process import Process, Timeout, Wait, AllOf, AnyOf
-from repro.des.resources import Resource, Store, PriorityResource
 from repro.des.monitor import EventLog, LoggedEvent, Monitor, StateTimeline
 
 __all__ = [
@@ -29,9 +28,6 @@ __all__ = [
     "Wait",
     "AllOf",
     "AnyOf",
-    "Resource",
-    "Store",
-    "PriorityResource",
     "Monitor",
     "StateTimeline",
 ]

@@ -91,10 +91,6 @@ class EventLog:
     def events(self) -> List[LoggedEvent]:
         return list(self._events)
 
-    def of_kind(self, kind: str) -> List[LoggedEvent]:
-        """Events of one kind, in order."""
-        return [e for e in self._events if e.kind == kind]
-
     def count(self, kind: str) -> int:
         return sum(1 for e in self._events if e.kind == kind)
 

@@ -1,4 +1,4 @@
-"""Device substrate: hardware catalog, duty-cycled devices, sensors.
+"""Device substrate: hardware catalog and duty-cycled device models.
 
 Models the three machines of the paper's testbed:
 
@@ -18,14 +18,6 @@ from repro.devices.specs import (
     catalog,
 )
 from repro.devices.device import DutyCycledDevice, AlwaysOnDevice, DeviceError
-from repro.devices.beehive import SmartBeehive, CyclePayload
-from repro.devices.sensors import (
-    Sensor,
-    TemperatureHumiditySensor,
-    Microphone,
-    Camera,
-    CurrentSensor,
-)
 
 __all__ = [
     "DeviceSpec",
@@ -36,11 +28,4 @@ __all__ = [
     "DutyCycledDevice",
     "AlwaysOnDevice",
     "DeviceError",
-    "SmartBeehive",
-    "CyclePayload",
-    "Sensor",
-    "TemperatureHumiditySensor",
-    "Microphone",
-    "Camera",
-    "CurrentSensor",
 ]

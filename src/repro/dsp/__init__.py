@@ -7,12 +7,11 @@ square images for the CNN.
 """
 
 from repro.dsp.windows import hann, hamming, rectangular, get_window
-from repro.dsp.stft import stft, frame_signal, istft_magnitude_check
+from repro.dsp.stft import stft, frame_signal
 from repro.dsp.mel import hz_to_mel, mel_to_hz, mel_filterbank
 from repro.dsp.spectrogram import MelSpectrogram, SpectrogramConfig, power_to_db
 from repro.dsp.image import resize_bilinear, normalize_image, spectrogram_to_image
 from repro.dsp.features import mel_statistics, svm_feature_vector
-from repro.dsp.mfcc import mfcc, mfcc_feature_vector, delta, dct_ii_matrix
 
 __all__ = [
     "hann",
@@ -21,7 +20,6 @@ __all__ = [
     "get_window",
     "stft",
     "frame_signal",
-    "istft_magnitude_check",
     "hz_to_mel",
     "mel_to_hz",
     "mel_filterbank",
@@ -33,8 +31,4 @@ __all__ = [
     "spectrogram_to_image",
     "mel_statistics",
     "svm_feature_vector",
-    "mfcc",
-    "mfcc_feature_vector",
-    "delta",
-    "dct_ii_matrix",
 ]

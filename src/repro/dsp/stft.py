@@ -57,17 +57,3 @@ def stft(
     # Windowing copies; the rfft is applied across the frame axis in one call.
     spectra = np.fft.rfft(frames * win[None, :], axis=1)
     return spectra.T
-
-
-def istft_magnitude_check(signal: np.ndarray, n_fft: int = 2048, hop: int = 512) -> float:
-    """Parseval-style diagnostic: ratio of STFT power to windowed signal power.
-
-    For a Hann window with 4× overlap this ratio is a constant; tests use it
-    to pin down the transform's scaling.  Returns the ratio.
-    """
-    spec = stft(signal, n_fft=n_fft, hop=hop)
-    stft_power = float(np.sum(np.abs(spec) ** 2))
-    sig_power = float(np.sum(np.asarray(signal, dtype=np.float64) ** 2))
-    if sig_power == 0:
-        raise ValueError("zero-power signal")
-    return stft_power / sig_power

@@ -28,11 +28,6 @@ class EnergyNode:
     converter: DCDCConverter
     battery: Battery
 
-    @staticmethod
-    def paper_default(soc: float = 0.8) -> "EnergyNode":
-        """The deployed configuration: 30 W panel, 5 V/3 A buck, 20 Ah bank."""
-        return EnergyNode(panel=SolarPanel(), converter=DCDCConverter(), battery=Battery(soc=soc))
-
 
 @dataclass(frozen=True)
 class HarvestResult:

@@ -134,14 +134,6 @@ class FaultyFleetResult:
         return (direct + drained) / r.cycles_expected
 
     @property
-    def mean_edge_energy_per_cycle(self) -> float:
-        return float(self.edge_energy_j.mean())
-
-    @property
-    def mean_server_energy_per_cycle(self) -> float:
-        return float(self.server_energy_j.mean())
-
-    @property
     def mean_total_per_client_cycle(self) -> float:
         """Joules per (initial) client per cycle, the Figure 6/7 y-axis."""
         if self.n_clients == 0:

@@ -24,7 +24,6 @@ from repro.ml.nn.resnet import BasicBlock, ResNet, resnet18, small_cnn
 from repro.ml.nn.optim import SGD
 from repro.ml.nn.train import Trainer, TrainConfig
 from repro.ml.nn.flops import count_flops, InferenceCostModel
-from repro.ml.nn.serialize import save_model, load_model, state_dict, load_state_dict
 
 __all__ = [
     "Layer",
@@ -50,8 +49,4 @@ __all__ = [
     "TrainConfig",
     "count_flops",
     "InferenceCostModel",
-    "save_model",
-    "load_model",
-    "state_dict",
-    "load_state_dict",
 ]

@@ -207,11 +207,6 @@ class SVC:
         """Mean accuracy."""
         return float(np.mean(self.predict(X) == np.asarray(y)))
 
-    @property
-    def n_support_(self) -> int:
-        self._check_fitted()
-        return int(self.support_.size)
-
     def _check_fitted(self) -> None:
         if not self._fitted:
             raise RuntimeError("SVC is not fitted; call fit() first")

@@ -60,10 +60,6 @@ class ContentionResult:
         """When the last client finishes — the slot's receive window."""
         return float(self.completion_times.max())
 
-    @property
-    def mean_completion(self) -> float:
-        return float(self.completion_times.mean())
-
 
 def simulate_slot_contention(
     payload_bytes: int,

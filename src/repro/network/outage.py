@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
-from repro.faults.spec import FaultWindow
 from repro.util.validation import check_non_negative, check_positive
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.faults.spec import FaultWindow
 
 #: Window kind for compiled outage intervals (client-targeted, like the
 #: blackout/degradation kinds in :mod:`repro.faults.spec`).
@@ -232,6 +234,9 @@ class OutagePattern:
         self, target: int, horizon_s: float, rng: np.random.Generator
     ) -> Tuple[FaultWindow, ...]:
         """Down tiles as :class:`FaultWindow` objects (spec protocol)."""
+        # repro.faults imports this module while it initializes
+        from repro.faults.spec import FaultWindow
+
         if self.never_fires:
             check_positive(horizon_s, "horizon_s")
             return ()

@@ -48,7 +48,7 @@ from repro.core.routines import make_scenario
 from repro.core.simulate import occupied_slot_energy
 from repro.network.buffer import STORED, EdgeBuffer
 from repro.network.link import LinkModel
-from repro.network.wifi import WIFI_80211N_2G4
+from repro.network.wifi import PAPER_CYCLE_PAYLOAD_BYTES, WIFI_80211N_2G4
 from repro.obs import Obs
 from repro.serve.faults import SERVER_FAIL, CompiledServeFaults, ServeFaultSpec
 from repro.serve.trace import PlacementTrace
@@ -57,6 +57,40 @@ from repro.validate.invariants import ServeConservation, run_checkers
 
 #: The serving API's operation set.
 OPS = ("admit", "release", "telemetry", "inference", "health")
+
+#: Latest request time ``t`` the engine accepts (s).  Float spacing at
+#: 2**32 s is 2**-20 s, under 1 µs; far past it the sim clock stops
+#: resolving a cycle (at ``t = 1e308``, ``t + period == t``).
+MAX_REQUEST_T = 2.0**32
+
+#: Largest telemetry payload (bytes): one hive's whole cycle upload, the
+#: three audio clips and five images of the paper's routine.
+MAX_TELEMETRY_BYTES = PAPER_CYCLE_PAYLOAD_BYTES
+
+
+def _operands(op: str, request: Dict[str, Any], default_bytes: int) -> Tuple[int, float, int]:
+    """``(hive, t, bytes)`` of one request, refused unless each is well typed.
+
+    Runs before the request touches any engine state, so a refused request
+    moves neither the request clock nor the fault cursor.  Operands are
+    never coerced: a float or string ``hive``, a string or bool ``t`` and a
+    fractional ``bytes`` are errors, not truncated or parsed.  (``type(x)
+    is int`` also refuses ``bool``, which subclasses ``int``.)
+    """
+    hive = request["hive"]
+    if type(hive) is not int:
+        raise TypeError(f"hive must be an int, got {hive!r}")
+    t = request.get("t", 0.0)
+    if type(t) is not int and not isinstance(t, float):
+        raise TypeError(f"request time must be a number, got {t!r}")
+    if isinstance(t, float) and not math.isfinite(t):
+        raise ValueError(f"non-finite request time {t!r}")
+    if t > MAX_REQUEST_T:
+        raise ValueError(f"request time {t!r} is past the {MAX_REQUEST_T:.0f} s horizon")
+    nbytes = request.get("bytes", default_bytes) if op == "telemetry" else 0
+    if type(nbytes) is not int or not 0 <= nbytes <= MAX_TELEMETRY_BYTES:
+        raise ValueError(f"bytes must be an int in [0, {MAX_TELEMETRY_BYTES}], got {nbytes!r}")
+    return hive, float(t), nbytes
 
 
 @dataclass(frozen=True)
@@ -234,10 +268,7 @@ class OrchestrationEngine:
                 return self._health()
             if op not in OPS:
                 raise ValueError(f"unknown op {op!r} (expected one of {OPS})")
-            hive = int(request["hive"])
-            t = float(request.get("t", 0.0))
-            if not math.isfinite(t):
-                raise ValueError(f"non-finite request time {t!r}")
+            hive, t, nbytes = _operands(op, request, self.config.telemetry_bytes)
             if self._last_t is not None and t < self._last_t:
                 raise ValueError(
                     f"non-monotonic request time {t!r} after {self._last_t!r}"
@@ -251,7 +282,7 @@ class OrchestrationEngine:
                 return self._release(hive, t)
             self._maybe_drain(hive, t)
             if op == "telemetry":
-                return self._telemetry(hive, t, int(request.get("bytes", self.config.telemetry_bytes)))
+                return self._telemetry(hive, t, nbytes)
             return self._inference(hive, t)
         except Exception as exc:  # noqa: BLE001 — surface as a structured error
             self.n_errors += 1

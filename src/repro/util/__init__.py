@@ -1,4 +1,4 @@
-"""Shared utilities: RNG management, units, validation, tables, statistics.
+"""Shared utilities: RNG management, units, validation, tables.
 
 Everything in :mod:`repro` that is stochastic draws its randomness from a
 :class:`numpy.random.Generator` obtained through :func:`repro.util.rng.make_rng`
@@ -28,7 +28,6 @@ from repro.util.validation import (
     check_integer,
 )
 from repro.util.tabulate import render_table, render_kv
-from repro.util.stats import RunningStats, summarize
 
 __all__ = [
     "make_rng",
@@ -52,6 +51,4 @@ __all__ = [
     "check_integer",
     "render_table",
     "render_kv",
-    "RunningStats",
-    "summarize",
 ]

@@ -84,14 +84,6 @@ def account_fingerprint(account) -> Dict[str, Any]:
     }
 
 
-def timeline_trace(device) -> List[str]:
-    """Canonical per-segment lines of a device's state timeline."""
-    return [
-        f"{t0:.6g} {t1:.6g} {state}"
-        for t0, t1, state in device.timeline.segments()
-    ]
-
-
 def event_trace(log) -> List[str]:
     """Canonical lines of a :class:`~repro.des.monitor.EventLog`."""
     lines = []

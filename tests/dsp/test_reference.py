@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
-from repro.dsp.mfcc import dct_ii_matrix
 from repro.dsp.stft import stft
 from repro.dsp.windows import hann
 
@@ -52,18 +50,3 @@ class TestStftAgainstScipy:
         peak = freqs[spec.mean(axis=1).argmax()]
         assert peak == pytest.approx(f0, abs=sr / 2048)
 
-
-class TestDctAgainstScipy:
-    def test_matches_scipy_orthonormal_dct(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=64)
-        ours = dct_ii_matrix(64, 64) @ x
-        theirs = sp_fft.dct(x, type=2, norm="ortho")
-        np.testing.assert_allclose(ours, theirs, atol=1e-10)
-
-    def test_partial_matches_truncated_scipy(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=128)
-        ours = dct_ii_matrix(128, 20) @ x
-        theirs = sp_fft.dct(x, type=2, norm="ortho")[:20]
-        np.testing.assert_allclose(ours, theirs, atol=1e-10)

@@ -6,7 +6,7 @@ deterministic overload shedding with the ``offered == served + shed +
 errored`` conservation partition, the checkpoint/resume round trip, the
 bounded checkpoint (two envelope slots plus a log of the trace's canonical
 lines) and its crash windows, the serve CLI's save failures and the
-request clock's guard against non-finite times — plus Hypothesis nets:
+request boundary's refusal of ill-typed operands — plus Hypothesis nets:
 the canonical line parser against the renderer, conservation under
 arbitrary request interleavings, and live-equals-batch-fold across every
 placement policy under fail/repack/recover churn.
@@ -52,7 +52,12 @@ from repro.serve.checkpoint import (
     slot_paths,
     snapshot_engine,
 )
-from repro.serve.engine import OrchestrationEngine, ServeConfig
+from repro.serve.engine import (
+    MAX_REQUEST_T,
+    MAX_TELEMETRY_BYTES,
+    OrchestrationEngine,
+    ServeConfig,
+)
 from repro.serve.faults import SERVER_FAIL, SERVER_RECOVER, ServeFaultSpec
 from repro.serve.http import drain_pending, make_server
 from repro.serve.trace import EVENT_KEYS, parse_event, render_event
@@ -816,13 +821,56 @@ class TestRequestBoundary:
         assert resumed.handle({"op": "health"})["uptime_s"] == 5.0
         assert resumed.handle({"op": "telemetry", "hive": 0, "t": 1.0})["ok"] is False
 
-    @pytest.mark.parametrize("t", [math.inf, -math.inf, "nan", "inf"])
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
     def test_non_finite_time_is_a_structured_error(self, t):
         engine = OrchestrationEngine(ServeConfig())
         response = engine.handle({"op": "inference", "hive": 0, "t": t})
         assert response["ok"] is False and "non-finite" in response["error"]
         assert engine._last_t is None
         assert engine.n_errored == 1
+
+    @pytest.mark.parametrize(
+        "op, operands, message",
+        [
+            pytest.param("admit", {"hive": 1.9}, "hive must be an int", id="hive-float"),
+            pytest.param("admit", {"hive": "7"}, "hive must be an int", id="hive-str"),
+            pytest.param("admit", {"hive": True}, "hive must be an int", id="hive-bool"),
+            pytest.param("telemetry", {"t": "5"}, "must be a number", id="t-str"),
+            pytest.param("inference", {"t": "nan"}, "must be a number", id="t-str-nan"),
+            pytest.param("inference", {"t": "inf"}, "must be a number", id="t-str-inf"),
+            pytest.param("admit", {"t": True}, "must be a number", id="t-bool"),
+            pytest.param("admit", {"t": 1e308}, "horizon", id="t-1e308"),
+            pytest.param("admit", {"t": 2**32 + 1}, "horizon", id="t-past-horizon"),
+            pytest.param("telemetry", {"bytes": 2.7}, "bytes must be", id="bytes-float"),
+            pytest.param("telemetry", {"bytes": 10**12}, "bytes must be", id="bytes-huge"),
+            pytest.param("telemetry", {"bytes": -1}, "bytes must be", id="bytes-negative"),
+            pytest.param("telemetry", {"bytes": True}, "bytes must be", id="bytes-bool"),
+            pytest.param("telemetry", {"bytes": "abc"}, "bytes must be", id="bytes-str"),
+        ],
+    )
+    def test_bad_operand_changes_no_state(self, op, operands, message):
+        engine = OrchestrationEngine(ServeConfig())
+        response = engine.handle({"op": op, "hive": 0, "t": 1.0, **operands})
+        assert response["ok"] is False and message in response["error"]
+        assert engine._last_t is None
+        assert engine.n_errored == 1
+
+    def test_refused_bytes_leave_the_clock(self):
+        engine = OrchestrationEngine(ServeConfig())
+        bad = engine.handle({"op": "telemetry", "hive": 1, "t": 100.0, "bytes": "abc"})
+        assert bad["ok"] is False
+        assert engine.handle({"op": "admit", "hive": 1, "t": 50.0})["ok"] is True
+        assert engine._last_t == 50.0
+
+    def test_operand_limits_are_inclusive(self):
+        engine = OrchestrationEngine(ServeConfig())
+        assert engine.handle({"op": "admit", "hive": 0, "t": 0})["ok"] is True
+        full = engine.handle(
+            {"op": "telemetry", "hive": 0, "t": 1, "bytes": MAX_TELEMETRY_BYTES}
+        )
+        assert full["ok"] is True and full["bytes"] == MAX_TELEMETRY_BYTES
+        assert engine.handle({"op": "inference", "hive": 0, "t": MAX_REQUEST_T})["ok"] is True
+        assert engine.n_errored == 0
 
 
 class TestPropertyNets:
