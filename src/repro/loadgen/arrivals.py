@@ -24,6 +24,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator, List
 
+from repro.serve.engine import MAX_TELEMETRY_BYTES
 from repro.util.rng import DEFAULT_SEED, derive_seed, make_rng
 
 
@@ -68,6 +69,10 @@ class LoadSpec:
             )
         if self.mode not in ("open", "closed"):
             raise ValueError(f"mode must be 'open' or 'closed', got {self.mode!r}")
+        # the engine refuses any other telemetry size; bool subclasses int
+        if type(self.payload_bytes) is not int or not 0 <= self.payload_bytes <= MAX_TELEMETRY_BYTES:
+            raise ValueError(f"payload_bytes must be an int in [0, {MAX_TELEMETRY_BYTES}], "
+                             f"got {self.payload_bytes!r}")
 
     def describe(self) -> dict:
         return {

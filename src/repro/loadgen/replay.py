@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import http.client
 import json
+import socket
 import time
 import urllib.parse
 from dataclasses import dataclass, field
@@ -27,6 +27,7 @@ from typing import Any, Dict, Iterable, Optional, Protocol, Tuple
 
 from repro.loadgen.arrivals import Arrival, LoadSpec, arrival_to_request, hive_stream, merged_stream
 from repro.serve.engine import OrchestrationEngine
+from repro.serve.http import read_response, request_bytes
 from repro.serve.trace import render_event
 from repro.util.rng import derive_seed, make_rng
 
@@ -70,23 +71,25 @@ class InProcessTransport:
         return self.engine.handle(dict(request))
 
 
-#: Connection class per URL scheme :class:`HttpTransport` accepts.
-_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+#: Default port per URL scheme :class:`HttpTransport` accepts.
+_PORTS = {"http": 80, "https": 443}
 
 #: What a reused connection raises when the server closed it while it sat idle.
 _DROPPED_WHILE_IDLE = (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)
 
 
 class HttpTransport:
-    """POST each request to a running ``repro-serve`` over HTTP.
+    """POST each request to a running ``repro-serve`` over HTTP/1.1.
 
-    Every ``send`` and ``health`` call shares one persistent connection,
-    opened at the first call and reopened after it fails or the server
-    closes it; ``close()`` (or leaving a ``with`` block) releases it.
-    Each response body is read in full, so the connection is always ready
-    for the next request.  A reused connection that the server closed while
-    it sat idle is reopened once without using an attempt, because the
-    server never read the request sent on it.
+    Every ``send`` and ``health`` call shares one ``TCP_NODELAY`` socket
+    (wrapped with ``ssl`` for ``https://``), opened at the first call and
+    reopened after it fails or the server closes it; ``close()`` (or
+    leaving a ``with`` block) releases it.  Each request leaves in one
+    send, and its response is read in full by ``Content-Length``
+    (:func:`repro.serve.http.read_response`), so the connection is always
+    ready for the next request.  A reused connection that the server
+    closed while it sat idle is reopened once without using an attempt,
+    because the server never read the request sent on it.
 
     Transport-level failures never raise: refused connections and timeouts
     are retried up to ``max_attempts`` with seeded-jitter exponential
@@ -103,7 +106,7 @@ class HttpTransport:
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         url = urllib.parse.urlsplit(base_url)
-        if url.scheme not in _CONNECTIONS:
+        if url.scheme not in _PORTS:
             raise ValueError(f"unsupported URL scheme in {base_url!r}: use http:// or https://")
         if not url.hostname:
             raise ValueError(f"no host in URL {base_url!r}")
@@ -113,17 +116,45 @@ class HttpTransport:
         self.backoff_s = backoff_s
         self._rng = make_rng(derive_seed(seed, "loadgen", "transport"))
         self._prefix = url.path.rstrip("/")
-        self._conn = _CONNECTIONS[url.scheme](url.hostname, url.port, timeout=timeout_s)
+        self._address = (url.hostname, url.port or _PORTS[url.scheme])
+        self._host = url.netloc.rpartition("@")[2]
+        self._tls = None
+        if url.scheme == "https":
+            import ssl
+
+            self._tls = ssl.create_default_context()
+        self._sock: Optional[socket.socket] = None
 
     def close(self) -> None:
         """Close the connection; the next call opens a new one."""
-        self._conn.close()
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
     def __enter__(self) -> "HttpTransport":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+    def _connect(self) -> socket.socket:
+        sock = socket.create_connection(self._address, timeout=self.timeout_s)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        self._sock = sock
+        return sock
+
+    def _round_trip(self, sock: socket.socket, message: bytes) -> Tuple[int, bytes]:
+        sock.sendall(message)
+        status, payload, closes = read_response(sock)
+        if closes:
+            self.close()
+        return status, payload
 
     def _exchange(self, method: str, op: str,
                   body: Optional[bytes] = None) -> Tuple[int, bytes]:
@@ -132,22 +163,17 @@ class HttpTransport:
         Any failure closes the connection before it propagates, so the
         next exchange starts on a new one.
         """
-        path = f"{self._prefix}/v1/{op}"
-        headers = {} if body is None else {"Content-Type": "application/json"}
-        reused = self._conn.sock is not None
+        message = request_bytes(method, self._host, f"{self._prefix}/v1/{op}", body)
         try:
+            if self._sock is None:
+                return self._round_trip(self._connect(), message)
             try:
-                self._conn.request(method, path, body, headers)
-                response = self._conn.getresponse()
+                return self._round_trip(self._sock, message)
             except _DROPPED_WHILE_IDLE:
-                if not reused:
-                    raise
-                self._conn.close()
-                self._conn.request(method, path, body, headers)
-                response = self._conn.getresponse()
-            return response.status, response.read()
+                self.close()
+                return self._round_trip(self._connect(), message)
         except BaseException:
-            self._conn.close()
+            self.close()
             raise
 
     def _backoff(self, attempt: int) -> None:
@@ -167,7 +193,7 @@ class HttpTransport:
                     "error": f"timeout after {self.timeout_s}s: {exc}",
                     "error_class": TIMEOUT,
                 }
-            except (OSError, http.client.HTTPException) as exc:
+            except OSError as exc:
                 failure = {
                     "ok": False, "op": op,
                     "error": f"connection failed: {exc}",

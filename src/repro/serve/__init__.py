@@ -17,7 +17,8 @@ Layering, innermost first:
 ``repro.serve.trace``
     :class:`PlacementTrace` — canonical event log + streaming SHA-256.
 ``repro.serve.http``
-    stdlib single-threaded HTTP front end with graceful SIGTERM shutdown.
+    lean HTTP/1.1 front end: one ``selectors`` loop on one thread holds
+    every connection; graceful SIGTERM drain.
 ``repro.serve.cli``
     the ``repro-serve`` entry point.
 ``repro.serve.smoke``

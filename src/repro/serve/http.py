@@ -1,270 +1,414 @@
-"""stdlib HTTP transport for the orchestration engine.
+"""Lean HTTP/1.1 front end for the orchestration engine, and the framing
+both ends of the wire share.
 
 One deliberately small layer: ``POST /v1/{admit,release,telemetry,inference}``
 with a JSON body and ``GET /v1/health`` map straight onto
 :meth:`~repro.serve.engine.OrchestrationEngine.handle`.  The server is
-**single-threaded by design** — requests are serialized in arrival order,
-which is what makes an HTTP replay produce the same placement trace as the
-in-process fold (the determinism the ``serve-trace`` golden pins).
+**single-threaded by design**: one ``selectors`` loop holds every open
+connection and serves complete requests one at a time, in the order it
+reads them, which is what makes an HTTP replay produce the same placement
+trace as the in-process fold (the determinism the ``serve-trace`` golden
+pins).  A client that has sent half a request holds up nobody, and a
+connection silent for :data:`IDLE_TIMEOUT_S` is closed.  Out of file
+descriptors, the server closes its longest-idle connection to accept the
+next one.
 
-Connections are kept alive, and each response leaves in one send.  Between
-requests the serving thread waits on an idle connection only while nobody
-else needs it: it gives the connection up as soon as shutdown has begun or
-another client is queued on the listener, and after :attr:`_Handler.timeout`
-at the latest.  A request body is read by its ``Content-Length`` alone, up
-to :data:`MAX_BODY_BYTES`; any other framing is refused and the connection
-closed, so unread bytes are never parsed as the next request.
+:func:`cut_request` is a pure function of a connection's bytes: the next
+complete request, or the :class:`Refusal` that ends the connection.  The
+body is read by ``Content-Length`` alone, up to :data:`MAX_BODY_BYTES`, and
+the head is capped at :data:`MAX_HEAD_BYTES`; any other framing is refused,
+so unread bytes are never parsed as the next request.  Every response is
+built from one header template and leaves in one send.  The client half,
+:func:`request_bytes` and :func:`read_response`, is what
+:class:`~repro.loadgen.replay.HttpTransport` speaks.
 
-Graceful shutdown: SIGTERM/SIGINT set a flag and stop the accept loop from
-a helper thread (``HTTPServer.shutdown`` must not be called from the
-serving thread); the process then flushes the final obs snapshot and the
-full placement trace before exiting 0, so a supervised rollout never loses
-the run's telemetry.  An exception out of the engine — a checkpoint save
-that failed — instead stops the server at once, with the request that
-raised it unanswered (crash-only: the caller exits and resumes from the
-last save).
+Graceful shutdown: SIGTERM/SIGINT stop the loop within one poll, the
+requests already received (the accept backlog included) are answered with
+``Connection: close`` (:func:`drain_pending`), and the process then
+flushes the final obs snapshot and the full placement trace before
+exiting 0.  An exception out of the engine (a checkpoint save that
+failed) instead stops the server at once, with the request that raised it
+unanswered (crash-only: the caller exits and resumes from the last save).
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
-import select
+import re
+import selectors
 import signal
+import socket
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import Any, Dict, Optional
+from collections import OrderedDict
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.serve.engine import OPS, OrchestrationEngine
 
 #: URL prefix of the serving API.
 API_PREFIX = "/v1/"
 
-#: Accept-backlog drain budget on graceful shutdown (seconds).
+#: Budget for answering the requests already received, accept backlog
+#: included, on graceful shutdown (seconds).
 DRAIN_BUDGET_S = 2.0
 
 #: Largest request body the server reads; a longer one is refused with 413.
 MAX_BODY_BYTES = 64 * 1024
 
-#: How often an idle kept-alive connection re-checks for shutdown (seconds).
-IDLE_POLL_S = 0.05
+#: Largest request head (request line, header lines and the blank line);
+#: a longer one is refused with 431.
+MAX_HEAD_BYTES = 16 * 1024
+
+#: A connection that sends nothing for this long is closed (seconds); it
+#: also bounds a send to a client that stopped reading.
+IDLE_TIMEOUT_S = 5.0
+
+_TOKEN = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_VERSION = re.compile(rb"HTTP/[0-9]\.[0-9]")
+_REASONS = {
+    200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Content Too Large",
+    422: "Unprocessable Content", 431: "Request Header Fields Too Large",
+    501: "Not Implemented", 503: "Service Unavailable", 505: "HTTP Version Not Supported",
+}
 
 
-class _Server(HTTPServer):
-    """``HTTPServer`` whose handlers can see that shutdown has begun.
+class Request(NamedTuple):
+    """One request cut from a connection's bytes.
 
-    ``failure`` is an exception the engine raised while handling a request;
-    the serving loop stops at once and re-raises it.
+    ``body`` is None while the body is still on its way; ``end`` is the
+    offset just past the whole request.
     """
 
-    stopping = False
-    failure: Optional[Exception] = None
+    method: str
+    path: str
+    body: Optional[bytes]
+    close: bool
+    expect_continue: bool
+    end: int
+
+
+class Refusal(NamedTuple):
+    """A request the server will not read: answered with ``status``, then closed."""
+
+    status: int
+    error: str
+
+
+def _fields(lines: List[bytes]) -> Optional[Dict[bytes, bytes]]:
+    """Header fields by lower-case name (repeats comma-joined); None if a line is malformed."""
+    fields: Dict[bytes, bytes] = {}
+    for line in lines:
+        name, colon, value = line.partition(b":")
+        if not colon or not _TOKEN.fullmatch(name):
+            return None
+        name = name.lower()
+        value = value.strip(b" \t")
+        fields[name] = fields[name] + b"," + value if name in fields else value
+    return fields
+
+
+def _closes(fields: Dict[bytes, bytes]) -> bool:
+    """Whether the ``Connection`` field asks to close after this message."""
+    tokens = fields.get(b"connection", b"").lower().split(b",")
+    return b"close" in [token.strip(b" \t") for token in tokens]
+
+
+def _length(value: bytes, limit: int) -> Optional[int]:
+    """A ``Content-Length`` value: None unless all digits, ``limit + 1`` if over ``limit``.
+
+    The digits are counted before ``int``, which refuses strings of over 4,300.
+    """
+    if not value.isdigit():
+        return None
+    digits = value.lstrip(b"0")
+    if len(digits) > len(str(limit)):
+        return limit + 1
+    return min(int(digits or b"0"), limit + 1)
+
+
+def cut_request(data: bytes) -> Union[None, Request, Refusal]:
+    """The first request in ``data``, a refusal, or None until its head is complete."""
+    head_end = data.find(b"\r\n\r\n", 0, MAX_HEAD_BYTES)
+    if head_end < 0:
+        if len(data) >= MAX_HEAD_BYTES:
+            return Refusal(431, f"request head exceeds {MAX_HEAD_BYTES} bytes")
+        return None
+    request_line, *lines = data[:head_end].split(b"\r\n")
+    parts = request_line.split(b" ")
+    if len(parts) != 3 or not parts[0] or not parts[1]:
+        return Refusal(400, f"bad request line {request_line[:200].decode('latin-1')!r}")
+    method, target, version = parts
+    if version not in (b"HTTP/1.1", b"HTTP/1.0"):
+        if _VERSION.fullmatch(version):
+            return Refusal(505, f"HTTP version {version.decode()} is not supported")
+        return Refusal(400, f"bad HTTP version {version[:50].decode('latin-1')!r}")
+    if method not in (b"GET", b"POST"):
+        return Refusal(501, f"method {method[:50].decode('latin-1')!r} is not supported")
+    fields = _fields(lines)
+    if fields is None:
+        return Refusal(400, "bad header line")
+    if b"transfer-encoding" in fields:
+        return Refusal(501, "Transfer-Encoding is not supported; send Content-Length")
+    length = fields.get(b"content-length", b"0")
+    size = _length(length, MAX_BODY_BYTES)
+    if size is None:
+        return Refusal(400, f"bad Content-Length {length[:50].decode('latin-1')!r}")
+    if size > MAX_BODY_BYTES:
+        shown = length[:20].decode() + ("..." if len(length) > 20 else "")
+        return Refusal(413, f"body of {shown} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
+    http11 = version == b"HTTP/1.1"
+    close = not http11 or _closes(fields)
+    start = head_end + 4
+    end = start + size
+    body = data[start:end] if len(data) >= end else None
+    expect = http11 and fields.get(b"expect", b"").lower() == b"100-continue"
+    return Request(method.decode(), target.decode("latin-1"), body, close, expect, end)
+
+
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _response(status: int, payload: Dict[str, Any], close: bool, extra: str = "") -> bytes:
+    body = _encode(payload).encode("utf-8")
+    connection = "Connection: close\r\n" if close else ""
+    # English day and month names: Python leaves LC_TIME at "C"
+    date = time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime())
+    return (
+        f"HTTP/1.1 {status} {_REASONS[status]}\r\nServer: repro-serve\r\nDate: {date}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+        f"{extra}{connection}\r\n"
+    ).encode("latin-1") + body
+
+
+def _route(path: str) -> Optional[str]:
+    if not path.startswith(API_PREFIX):
+        return None
+    op = path[len(API_PREFIX):].rstrip("/")
+    return op if op in OPS else None
+
+
+class _Connection:
+    __slots__ = ("sock", "data", "seen", "continued")
+
+    def __init__(self, sock: socket.socket, now: float) -> None:
+        self.sock = sock
+        self.data = b""
+        self.seen = now
+        self.continued = False
+
+
+class HttpServer:
+    """The engine behind one listening socket, served by one ``selectors`` loop.
+
+    ``stopping`` ends :meth:`serve_forever` within one poll; every response
+    sent once it is set carries ``Connection: close``.  Open connections
+    are kept least recently heard from first, so the idle sweep and the
+    choice of a connection to give up look only at the front.
+    """
+
+    def __init__(self, engine: OrchestrationEngine, host: str, port: int) -> None:
+        self.engine = engine
+        self.socket = socket.create_server((host, port))
+        self.socket.setblocking(False)
+        self.server_address: Tuple[str, int] = self.socket.getsockname()[:2]
+        self.stopping = False
+        self._connections: "OrderedDict[_Connection, None]" = OrderedDict()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.socket, selectors.EVENT_READ)
+        self._idle = threading.Event()
+        self._idle.set()
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve until :meth:`shutdown`; an exception out of the engine propagates."""
+        self._idle.clear()
+        try:
+            while not self.stopping:
+                self._poll(poll_interval)
+        finally:
+            self._idle.set()
 
     def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` from another thread and wait for it."""
         self.stopping = True
-        super().shutdown()
+        self._idle.wait()
 
-    def service_actions(self) -> None:  # runs after every request the loop serves
-        if self.failure is not None:
-            raise self.failure
+    def server_close(self) -> None:
+        for conn in list(self._connections):
+            self._close(conn)
+        self._selector.close()
+        self.socket.close()
 
+    def _poll(self, timeout: float) -> Tuple[int, int]:
+        """Accept, read and serve what is ready within ``timeout``.
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-serve"
-    # A rude keep-alive client must not wedge the single serving thread
-    # (nor the shutdown drain): idle connections are dropped after this.
-    timeout = 5.0
-    # Responses collect in a 128 KiB write buffer flushed once per request,
-    # so status line, headers and body leave in one send: a body sent after
-    # the headers waits out Nagle plus the client's delayed ACK (~40 ms a
-    # request on a kept-alive connection).
-    wbufsize = 1 << 17
-    engine: OrchestrationEngine  # set by make_server on the class
-    server: _Server
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # keep stdout/stderr deterministic; obs carries the counters
-
-    def handle(self) -> None:
-        self.close_connection = True
-        self.handle_one_request()
-        while not self.close_connection and self._await_request():
-            self.handle_one_request()
-
-    def _await_request(self) -> bool:
-        """Wait on the idle connection until its next request can be read.
-
-        Returns False to give the connection up: shutdown has begun,
-        another client is queued on the listener, or the idle timeout has
-        passed.  One idle client must never hold the single serving thread.
+        Returns ``(ready, answered)``: sockets that were ready, responses sent.
         """
-        if self._pipelined():
-            return True
-        deadline = time.monotonic() + self.timeout
-        watched = (self.connection, self.server.socket)
-        while not self.server.stopping:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return False
-            ready, _, _ = select.select(watched, (), (), min(remaining, IDLE_POLL_S))
-            if self.connection in ready:
-                return True  # the next request, or the client's close
-            if ready:
-                return False  # another client waits to connect
-        return False
+        events = self._selector.select(timeout)
+        now = time.monotonic()
+        answered = 0
+        for key, _ in events:
+            if key.data is None:
+                self._accept(now)
+            else:
+                answered += self._read(key.data, now)
+        while self._connections:
+            oldest = next(iter(self._connections))
+            if now - oldest.seen <= IDLE_TIMEOUT_S:
+                break
+            self._close(oldest)
+        return len(events), answered
 
-    def _pipelined(self) -> bool:
-        """Whether a request the client sent early already sits in the read buffer."""
-        self.connection.setblocking(False)
+    def _accept(self, now: float) -> None:
         try:
-            return bool(self.rfile.peek(1))
-        finally:
-            self.connection.settimeout(self.timeout)
+            sock, _ = self.socket.accept()
+        except OSError as exc:
+            if exc.errno in (errno.EMFILE, errno.ENFILE):
+                # Out of descriptors: the listener stays readable, so give
+                # up the longest-idle connection rather than spin on it.
+                if self._connections:
+                    self._close(next(iter(self._connections)))
+                else:
+                    time.sleep(0.05)
+            return  # otherwise the client gave up while queued
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(IDLE_TIMEOUT_S)
+        conn = _Connection(sock, now)
+        self._connections[conn] = None
+        self._selector.register(sock, selectors.EVENT_READ, conn)
 
-    def _reply(self, status: int, payload: Dict[str, Any],
-               headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+    def _close(self, conn: _Connection) -> None:
+        if conn in self._connections:
+            del self._connections[conn]
+            self._selector.unregister(conn.sock)
+            conn.sock.close()
 
-    def _read_body(self) -> Optional[bytes]:
-        """The request body, read by its ``Content-Length`` (none means empty).
+    def _read(self, conn: _Connection, now: float) -> int:
+        """Take what ``conn`` sent and answer every complete request in it."""
+        try:
+            chunk = conn.sock.recv(65536)
+        except OSError:  # reset by the client
+            chunk = b""
+        if not chunk:
+            self._close(conn)
+            return 0
+        conn.seen = now
+        self._connections.move_to_end(conn)
+        data = conn.data + chunk if conn.data else chunk
+        answered = 0
+        while True:
+            request = cut_request(data)
+            if request is None:
+                break
+            if isinstance(request, Refusal):
+                self._send(conn, _response(request.status, {"ok": False, "error": request.error},
+                                           close=True))
+                self._close(conn)
+                return answered + 1
+            if request.body is None:
+                if request.expect_continue and not conn.continued:
+                    conn.continued = True
+                    self._send(conn, b"HTTP/1.1 100 Continue\r\n\r\n")
+                break
+            data = data[request.end:]
+            conn.continued = False
+            close = request.close or self.stopping
+            try:
+                reply = self._answer(request, close)
+            except BaseException:
+                self._close(conn)  # unanswered: the engine's state is in doubt
+                raise
+            answered += 1
+            if not self._send(conn, reply) or close:
+                self._close(conn)
+                return answered
+        conn.data = data
+        return answered
 
-        Returns None once the body has been refused: the refusal is sent at
-        once and closes the connection, because on a kept-alive connection
-        the unread body would be parsed as the next request.
+    def _send(self, conn: _Connection, payload: bytes) -> bool:
+        try:
+            conn.sock.sendall(payload)
+        except OSError:
+            self._close(conn)
+            return False
+        return True
+
+    def _answer(self, request: Request, close: bool) -> bytes:
+        """The response to one complete request.
+
+        Only :meth:`OrchestrationEngine.handle` may raise here, and only
+        when its state is in doubt (a checkpoint save failed after the
+        request was applied): the server then stops rather than apply a
+        re-sent copy.
         """
-        length = ",".join(self.headers.get_all("Content-Length", ["0"])).strip()
-        if "Transfer-Encoding" in self.headers:
-            status, error = 501, "Transfer-Encoding is not supported; send Content-Length"
-        elif not (length.isascii() and length.isdigit()):
-            status, error = 400, f"bad Content-Length {length!r}"
-        elif int(length) > MAX_BODY_BYTES:
-            status, error = 413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
-        else:
-            return self.rfile.read(int(length))
-        self._reply(status, {"ok": False, "error": error}, headers={"Connection": "close"})
-        return None
-
-    def _answer(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """The engine's response, or None when the engine raised.
-
-        The engine never raises on a bad request, so an exception means its
-        state is in doubt (a checkpoint save failed after the request was
-        applied): the request goes unanswered, its connection closes, and
-        the server stops rather than apply a re-sent copy.
-        """
+        op = _route(request.path)
+        if op is None or (request.method == "GET" and op != "health"):
+            return _response(404, {"ok": False, "error": f"no such endpoint: {request.path}"}, close)
+        if request.method == "GET":
+            return _response(200, self.engine.handle({"op": "health"}), close)
         try:
-            return self.engine.handle(request)
-        except Exception as exc:  # noqa: BLE001 — re-raised by the serving loop
-            self.server.failure = exc
-            self.close_connection = True
-            return None
-
-    def _route(self) -> Optional[str]:
-        if not self.path.startswith(API_PREFIX):
-            return None
-        op = self.path[len(API_PREFIX):].rstrip("/")
-        return op if op in OPS else None
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        if self._read_body() is None:
-            return
-        if self._route() == "health":
-            response = self._answer({"op": "health"})
-            if response is not None:
-                self._reply(200, response)
-        else:
-            self._reply(404, {"ok": False, "error": f"no such endpoint: {self.path}"})
-
-    def do_POST(self) -> None:  # noqa: N802
-        body = self._read_body()
-        if body is None:
-            return
-        op = self._route()
-        if op is None:
-            self._reply(404, {"ok": False, "error": f"no such endpoint: {self.path}"})
-            return
-        try:
-            request = json.loads(body or b"{}")
-            if not isinstance(request, dict):
+            body = json.loads(request.body or b"{}")
+            if not isinstance(body, dict):
                 raise ValueError("request body must be a JSON object")
-        except (ValueError, json.JSONDecodeError) as exc:
-            self._reply(400, {"ok": False, "op": op, "error": f"bad request body: {exc}"})
-            return
-        request["op"] = op
-        response = self._answer(request)
-        if response is None:
-            return
+        except (ValueError, RecursionError) as exc:
+            return _response(400, {"ok": False, "op": op, "error": f"bad request body: {exc}"}, close)
+        body["op"] = op
+        response = self.engine.handle(body)
         if response.get("shed"):
             # Deterministic overload rejection: 503 plus the engine's hint
             # for when the oldest in-flight request frees a queue slot.
             retry_after = max(1, math.ceil(float(response.get("retry_after_s", 1.0))))
-            self._reply(503, response, headers={"Retry-After": str(retry_after)})
-            return
-        self._reply(200 if response.get("ok") else 422, response)
+            return _response(503, response, close, f"Retry-After: {retry_after}\r\n")
+        return _response(200 if response.get("ok") else 422, response, close)
 
 
 def make_server(engine: OrchestrationEngine, host: str = "127.0.0.1",
-                port: int = 0) -> HTTPServer:
+                port: int = 0) -> HttpServer:
     """Bind an HTTP server on ``host:port`` (0 = ephemeral) for ``engine``."""
-    handler = type("BoundHandler", (_Handler,), {"engine": engine})
-    return _Server((host, port), handler)
+    return HttpServer(engine, host, port)
 
 
-def drain_pending(server: HTTPServer, budget_s: float = DRAIN_BUDGET_S) -> int:
-    """Serve connections already queued in the accept backlog.
+def drain_pending(server: HttpServer, budget_s: float = DRAIN_BUDGET_S) -> int:
+    """Answer the requests already received once the loop has stopped.
 
-    ``HTTPServer.shutdown`` only stops the *loop*: a request whose TCP
-    connection was accepted by the kernel but not yet picked up by
-    ``serve_forever`` would be silently dropped — offered but never
-    counted, breaking the serve-conservation contract at the transport.
-    This drains the backlog (bounded by ``budget_s``) before the socket
-    closes, so every request that reached the listener gets an answer.
-    Draining is part of shutdown, so each drained connection is given up
-    after its first request.  Returns the number of drained connections.
+    Stopping the loop must not drop a request that reached the server:
+    one still in the accept backlog, or one sent on an open connection,
+    would otherwise be offered but never counted, breaking the
+    serve-conservation contract at the transport.  This keeps serving,
+    each answer with ``Connection: close``, until a poll finds nothing
+    ready or ``budget_s`` has passed.  Returns the number of responses sent.
     """
     server.stopping = True
     deadline = time.monotonic() + budget_s
-    drained = 0
+    answered = 0
     while True:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             break
-        ready, _, _ = select.select([server], [], [], min(remaining, 0.05))
+        ready, sent = server._poll(min(remaining, 0.05))
+        answered += sent
         if not ready:
-            break  # backlog empty — nothing left to answer
-        server.handle_request()
-        drained += 1
-        if server.failure is not None:
-            raise server.failure
-    return drained
+            break  # nothing left to answer
+    return answered
 
 
-def serve_until_signal(server: HTTPServer) -> int:
-    """Run the accept loop until SIGTERM/SIGINT; returns the signal number.
+def serve_until_signal(server: HttpServer) -> int:
+    """Run the loop until SIGTERM/SIGINT; returns the signal number.
 
     Restores the previous handlers on exit so embedding callers (tests)
-    keep their signal disposition.  Before the socket closes, the accept
-    backlog is drained (:func:`drain_pending`) so a graceful stop never
-    drops an already-connected client.  An exception the engine raised
-    while handling a request stops the server without draining, and is
-    re-raised here.
+    keep their signal disposition.  Before the socket closes, the requests
+    already received are answered (:func:`drain_pending`), so a graceful
+    stop never drops an already-connected client.  An exception the engine
+    raised while handling a request stops the server without draining, and
+    is re-raised here.
     """
     got = {"signum": 0}
 
     def _stop(signum: int, frame: Any) -> None:
         got["signum"] = signum
-        # shutdown() blocks until serve_forever drains; hop threads so the
-        # handler (which runs on the serving thread) cannot deadlock.
-        threading.Thread(target=server.shutdown, daemon=True).start()
+        server.stopping = True
 
     previous = {
         sig: signal.signal(sig, _stop) for sig in (signal.SIGTERM, signal.SIGINT)
@@ -279,5 +423,53 @@ def serve_until_signal(server: HTTPServer) -> int:
     return got["signum"]
 
 
-__all__ = ["API_PREFIX", "DRAIN_BUDGET_S", "MAX_BODY_BYTES", "make_server", "serve_until_signal",
-           "drain_pending"]
+def request_bytes(method: str, host: str, path: str, body: Optional[bytes] = None) -> bytes:
+    """One whole client request, head and JSON body, ready for a single send."""
+    if body is None:
+        return f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("latin-1")
+    return (
+        f"{method} {path} HTTP/1.1\r\nHost: {host}\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode("latin-1") + body
+
+
+def read_response(sock: socket.socket) -> Tuple[int, bytes, bool]:
+    """Read one response by its ``Content-Length``: ``(status, body, server closes)``.
+
+    A connection that ends before the first byte raises
+    ``ConnectionResetError``; any other broken response raises
+    ``ConnectionError``, as does a head over :data:`MAX_HEAD_BYTES`.  The
+    body is read in bounded pieces, so a bogus length costs no more memory
+    than the bytes that actually arrive.
+    """
+    data = b""
+    head_end = -1
+    while head_end < 0:
+        if len(data) >= MAX_HEAD_BYTES:
+            raise ConnectionError(f"response head exceeds {MAX_HEAD_BYTES} bytes")
+        chunk = sock.recv(65536)
+        if not chunk:
+            if data:
+                raise ConnectionError("connection closed inside a response head")
+            raise ConnectionResetError("connection closed before a response")
+        data += chunk
+        head_end = data.find(b"\r\n\r\n")
+    status_line, *lines = data[:head_end].split(b"\r\n")
+    version, _, rest = status_line.partition(b" ")
+    fields = _fields(lines)
+    size = None if fields is None else _length(fields.get(b"content-length", b""), sys.maxsize)
+    if size is None or size > sys.maxsize or not (_VERSION.fullmatch(version) and rest[:3].isdigit()):
+        raise ConnectionError(f"unsupported response head {data[:head_end][:200]!r}")
+    data = data[head_end + 4:]
+    while len(data) < size:
+        chunk = sock.recv(min(size - len(data), 1 << 20))
+        if not chunk:
+            raise ConnectionError("connection closed inside a response body")
+        data += chunk
+    closes = version == b"HTTP/1.0" or _closes(fields) or len(data) > size
+    return int(rest[:3]), data[:size], closes
+
+
+__all__ = ["API_PREFIX", "DRAIN_BUDGET_S", "IDLE_TIMEOUT_S", "MAX_BODY_BYTES", "MAX_HEAD_BYTES",
+           "HttpServer", "Refusal", "Request", "cut_request", "drain_pending", "make_server",
+           "read_response", "request_bytes", "serve_until_signal"]

@@ -35,6 +35,29 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(BASE, **{field: value})
 
+    @pytest.mark.parametrize("payload", [3_000_000, -5, 2.5, True])
+    def test_payloads_the_engine_refuses_are_refused(self, payload):
+        with pytest.raises(ValueError, match="payload_bytes"):
+            LoadSpec(n_hives=2, horizon_s=900.0, payload_bytes=payload, seed=1)
+
+    def test_the_largest_payload_the_engine_takes_is_accepted(self):
+        from repro.loadgen.replay import replay_in_process
+        from repro.serve.engine import MAX_TELEMETRY_BYTES
+
+        assert MAX_TELEMETRY_BYTES == 2_073_000
+        spec = LoadSpec(n_hives=2, horizon_s=900.0, payload_bytes=2_073_000, seed=1)
+        assert replay_in_process(spec)[1].n_errors == 0
+
+    def test_cli_refuses_the_payload_before_sending(self, capsys):
+        from repro.loadgen.cli import main
+
+        argv = ["--in-process", "--hives", "2", "--horizon", "900", "--payload-bytes", "3000000"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: payload_bytes must be an int in [0, 2073000], got 3000000"]
+
     def test_describe_round_trips_through_replace(self):
         spec = LoadSpec(**BASE.describe())
         assert spec == BASE

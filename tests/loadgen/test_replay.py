@@ -1,9 +1,12 @@
 """Tests for the replay driver: open/closed loop, report, determinism."""
 
+import contextlib
 import dataclasses
-import http.client
 import http.server
 import json
+import shutil
+import ssl
+import subprocess
 import threading
 
 import pytest
@@ -193,7 +196,7 @@ class TestErrorClasses:
             response = transport.send({"op": "telemetry", "hive": 0, "t": 0.0})
         assert response["ok"] is False
         assert response["error_class"] == TIMEOUT
-        assert transport._conn.sock is None  # a failed exchange closes the socket
+        assert transport._sock is None  # a failed exchange closes the socket
 
     def test_transport_backoff_is_seeded(self):
         from repro.loadgen.replay import HttpTransport
@@ -244,42 +247,145 @@ class _FlakyHandler(http.server.BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
+class _OneAnswerHandler(_FlakyHandler):
+    """Closes each connection after its first answer, without saying so."""
+
+    def do_POST(self):  # noqa: N802
+        super().do_POST()
+        self.close_connection = True
+
+
+class _HealthHandler(_FlakyHandler):
+    def do_GET(self):  # noqa: N802
+        body = json.dumps({"ok": True, "op": "health"}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@contextlib.contextmanager
+def _stub_server(handler, tls=None):
+    """An ``http.server`` stub in a thread: yields ``(url, accepted connections)``."""
+    server = http.server.HTTPServer(("127.0.0.1", 0), handler)
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
+    accepted = []
+    get_request = server.get_request
+
+    def counted_get_request():
+        request = get_request()
+        accepted.append(1)
+        return request
+
+    server.get_request = counted_get_request
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"{'https://localhost' if tls else 'http://127.0.0.1'}:{server.server_address[1]}", accepted
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+@pytest.fixture()
+def tls_stub(tmp_path):
+    """A TLS ``http.server`` stub with a throwaway self-signed certificate
+    for ``localhost``: yields ``(url, accepted connections, certificate)``."""
+    if shutil.which("openssl") is None:
+        pytest.skip("openssl is not on PATH")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
+         "-subj", "/CN=localhost", "-addext", "subjectAltName=DNS:localhost,IP:127.0.0.1",
+         "-keyout", str(key), "-out", str(cert)],
+        check=True, capture_output=True, timeout=60,
+    )
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    with _stub_server(_HealthHandler, tls=context) as (url, accepted):
+        yield url, accepted, cert
+
+
 class TestHttpTransport:
     def test_non_json_error_body_is_http_class_and_connection_reused(self):
         from repro.loadgen.replay import HTTP_ERROR, HttpTransport
 
-        server = http.server.HTTPServer(("127.0.0.1", 0), _FlakyHandler)
-        accepted = []
-        get_request = server.get_request
-
-        def counted_get_request():
-            accepted.append(1)
-            return get_request()
-
-        server.get_request = counted_get_request
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = server.server_address
-            with HttpTransport(f"http://{host}:{port}", max_attempts=1) as transport:
+        with _stub_server(_FlakyHandler) as (url, accepted):
+            with HttpTransport(url, max_attempts=1) as transport:
                 failed = transport.send({"op": "boom", "hive": 0, "t": 0.0})
                 after = transport.send({"op": "admit", "hive": 0, "t": 0.0})
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
         assert failed["ok"] is False and failed["error_class"] == HTTP_ERROR
         assert "HTTP 500" in failed["error"] and "upstream exploded" in failed["error"]
         assert after == {"ok": True, "op": "admit"}
         assert len(accepted) == 1  # the error body was read, the connection kept
 
-    def test_https_targets_use_a_tls_connection(self):
+    def test_a_connection_closed_after_each_answer_is_reopened_free(self):
+        """The server closes each connection after one answer, without
+        ``Connection: close``: with one attempt, both sends still succeed."""
         from repro.loadgen.replay import HttpTransport
 
-        transport = HttpTransport("https://hives.example:8443/")
-        assert isinstance(transport._conn, http.client.HTTPSConnection)
-        assert (transport._conn.host, transport._conn.port) == ("hives.example", 8443)
-        assert transport._conn.sock is None  # opened lazily, at the first call
+        with _stub_server(_OneAnswerHandler) as (url, accepted):
+            with HttpTransport(url, max_attempts=1) as transport:
+                first = transport.send({"op": "admit", "hive": 0, "t": 0.0})
+                second = transport.send({"op": "inference", "hive": 0, "t": 1.0})
+        assert first == {"ok": True, "op": "admit"}
+        assert second == {"ok": True, "op": "inference"}
+        assert len(accepted) == 2
+
+    def test_https_round_trip_against_a_tls_stub(self, tls_stub, monkeypatch):
+        from repro.loadgen.replay import HttpTransport
+
+        url, accepted, cert = tls_stub
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+        with HttpTransport(url, max_attempts=1) as transport:
+            assert transport.send({"op": "admit", "hive": 0, "t": 0.0}) == {"ok": True, "op": "admit"}
+            assert transport.health() == {"ok": True, "op": "health"}
+        assert len(accepted) == 1
+
+    def test_https_with_an_untrusted_certificate_is_connection_refused(self, tls_stub, monkeypatch):
+        from repro.loadgen.replay import CONNECTION_REFUSED, HttpTransport
+
+        url, _accepted, _cert = tls_stub
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        transport = HttpTransport(url, max_attempts=1)
+        response = transport.send({"op": "admit", "hive": 0, "t": 0.0})
+        assert response["ok"] is False and response["error_class"] == CONNECTION_REFUSED
+
+    @pytest.mark.parametrize(
+        "response, error_class",
+        [(b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n{}" % (b"1" * 5000), "connection-refused"),
+         (b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n{}" % (b"9" * 20), "connection-refused"),
+         (b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n{}" % (b"9" * 18), "timeout"),
+         (b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * (8 << 20), "connection-refused")],
+        ids=["length-over-int-digit-limit", "length-over-sys-maxsize", "length-longer-than-sent",
+             "head-without-end"],
+    )
+    def test_a_bogus_response_ends_the_exchange_not_the_replay(self, response, error_class):
+        """A length ``int()`` refuses, one no ``recv`` buffer can hold, one
+        the server never delivers, and a head that never ends."""
+        import socket
+
+        from repro.loadgen.replay import HttpTransport
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer():
+                conn, _ = listener.accept()
+                with conn, contextlib.suppress(OSError):  # the client may hang up mid-send
+                    conn.recv(65536)
+                    conn.sendall(response)
+                    conn.recv(1)  # hold the connection open until the client hangs up
+
+            thread = threading.Thread(target=answer, daemon=True)
+            thread.start()
+            port = listener.getsockname()[1]
+            transport = HttpTransport(f"http://127.0.0.1:{port}", timeout_s=1.0, max_attempts=1)
+            reply = transport.send({"op": "admit", "hive": 0, "t": 0.0})
+            thread.join(timeout=10)
+        assert reply["ok"] is False and reply["error_class"] == error_class
+        assert transport._sock is None
 
     @pytest.mark.parametrize(
         "url", ["ftp://127.0.0.1:8037", "127.0.0.1:8037", "localhost:8037", "ws://127.0.0.1:8037"]

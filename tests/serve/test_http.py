@@ -7,9 +7,12 @@ whole module stays in the low seconds.  The full-size run is exercised by
 ``python -m repro.serve.smoke --http`` in CI and by the serve-trace golden.
 """
 
+import contextlib
+import errno
 import http.client
 import json
 import math
+import resource
 import signal
 import socket
 import subprocess
@@ -23,8 +26,11 @@ import pytest
 
 from repro.loadgen.arrivals import LoadSpec
 from repro.loadgen.replay import HttpTransport, replay, replay_in_process
+from repro.serve import http as http_module
 from repro.serve.engine import OrchestrationEngine, ServeConfig
-from repro.serve.http import MAX_BODY_BYTES, make_server
+from repro.serve.http import (
+    MAX_BODY_BYTES, MAX_HEAD_BYTES, drain_pending, make_server, read_response, request_bytes,
+)
 from repro.serve.smoke import _boot_server
 
 SMALL_SPEC = LoadSpec(
@@ -126,16 +132,29 @@ class TestLifecycle:
         assert r["ok"] is False and "allocated twice" in r["error"]
 
 
+class _TakingTurns:
+    """Send each request on the next of several transports in turn."""
+
+    def __init__(self, transports) -> None:
+        self.transports = transports
+        self.n_sent = 0
+
+    def send(self, request):
+        transport = self.transports[self.n_sent % len(self.transports)]
+        self.n_sent += 1
+        return transport.send(request)
+
+
 def _counting_connects(transport: HttpTransport) -> list:
     """Record every TCP connect the transport makes from here on."""
     connects = []
-    connect = transport._conn.connect
+    connect = transport._connect
 
-    def counted() -> None:
-        connects.append(transport._conn.host)
-        connect()
+    def counted():
+        connects.append(transport._address)
+        return connect()
 
-    transport._conn.connect = counted
+    transport._connect = counted
     return connects
 
 
@@ -149,7 +168,7 @@ class TestKeepAlive:
         assert report.n_errors == 0
         assert health["requests"] == report.n_requests + 1
         assert len(connects) == 1
-        assert transport._conn.sock is None  # closed by leaving the block
+        assert transport._sock is None  # closed by leaving the block
         shutdown(proc)
 
     def test_sigterm_with_an_idle_connected_transport_exits_promptly(self, server):
@@ -160,25 +179,139 @@ class TestKeepAlive:
             proc.send_signal(signal.SIGTERM)
             proc.communicate(timeout=30)
             elapsed = time.monotonic() - start
-            assert transport._conn.sock is not None  # still connected at SIGTERM
+            assert transport._sock is not None  # still connected at SIGTERM
         assert proc.returncode == 0
         assert elapsed < 1.0, f"repro-serve took {elapsed:.2f} s to exit"
 
-    def test_an_idle_connection_yields_to_a_second_client(self, server):
-        proc, url, _trace, _obs = server
-        with HttpTransport(url, max_attempts=1) as first:
-            connects = _counting_connects(first)
-            assert first.send({"op": "admit", "hive": 1, "t": 0.0})["ok"] is True
-            start = time.monotonic()
-            with urllib.request.urlopen(f"{url}/v1/health", timeout=10) as resp:
-                assert json.loads(resp.read())["ok"] is True
-            assert time.monotonic() - start < 1.0
-            # the server gave the idle connection up: the next send reopens
-            # it without spending the only attempt
-            response = first.send({"op": "inference", "hive": 1, "t": 5.0})
-        assert response["ok"] is True and response["placement"] == "cloud"
-        assert len(connects) == 2
+    @pytest.mark.parametrize("n_clients", [2, 4])
+    def test_interleaved_clients_keep_their_connections(self, server, n_clients):
+        """Clients taking turns on one server: no reconnects, and the same
+        trace as the in-process fold."""
+        proc, url, trace_out, _obs = server
+        transports = [HttpTransport(url, max_attempts=1) for _ in range(n_clients)]
+        connects = [_counting_connects(transport) for transport in transports]
+        try:
+            report = replay(SMALL_SPEC, _TakingTurns(transports))
+        finally:
+            for transport in transports:
+                transport.close()
+        engine, local = replay_in_process(SMALL_SPEC)
+        assert report.n_errors == 0
+        assert report.response_sha256 == local.response_sha256
+        assert [len(c) for c in connects] == [1] * n_clients
         shutdown(proc)
+        assert json.loads(trace_out.read_text())["sha256"] == engine.trace.fingerprint()
+
+    def test_a_half_sent_head_holds_up_no_one(self, threaded_server):
+        with socket.create_connection(threaded_server.server_address, timeout=3) as stalled:
+            stalled.sendall(b"POST /v1/admit HTTP/1.1\r\nHost: x\r\n")
+            host, port = threaded_server.server_address
+            start = time.monotonic()
+            with urllib.request.urlopen(f"http://{host}:{port}/v1/health", timeout=10) as resp:
+                assert json.loads(resp.read())["ok"] is True
+            assert time.monotonic() - start < 0.5
+
+    def test_expect_100_continue_is_answered_before_the_body(self, threaded_server):
+        body = json.dumps({"hive": 1, "t": 0.0}).encode()
+        with socket.create_connection(threaded_server.server_address, timeout=3) as sock:
+            sock.sendall(b"POST /v1/admit HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body))
+            sock.settimeout(0.5)
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.settimeout(3)
+            sock.sendall(body)
+            reply = sock.recv(65536)
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert threaded_server.engine.n_served == 1
+
+    @pytest.mark.parametrize(
+        "request_head",
+        [b"GET /v1/health HTTP/1.0\r\n\r\n",
+         b"GET /v1/health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"],
+        ids=["http-1.0", "connection-close"],
+    )
+    def test_answered_then_closed(self, threaded_server, request_head):
+        status_line, headers, body, closed = _raw_exchange(
+            threaded_server.server_address, request_head)
+        assert status_line == "HTTP/1.1 200 OK" and body["ok"] is True
+        assert headers["Connection"] == "close" and closed
+
+    def test_a_silent_connection_is_closed(self, threaded_server, monkeypatch):
+        monkeypatch.setattr(http_module, "IDLE_TIMEOUT_S", 0.2)
+        with socket.create_connection(threaded_server.server_address, timeout=3) as sock:
+            start = time.monotonic()
+            assert sock.recv(1) == b""
+            assert 0.2 <= time.monotonic() - start < 2.0
+
+    def test_a_talking_connection_outlives_a_silent_one(self, threaded_server, monkeypatch):
+        """The talker connects first, so the idle sweep finds the silent
+        connection only if each read moves its connection to the back."""
+        monkeypatch.setattr(http_module, "IDLE_TIMEOUT_S", 0.3)
+        address = threaded_server.server_address
+        with socket.create_connection(address, timeout=3) as talker, \
+                socket.create_connection(address, timeout=0.05) as silent:
+            deadline = time.monotonic() + 2.0
+            while True:
+                talker.sendall(request_bytes("GET", "x", "/v1/health"))
+                assert read_response(talker)[0] == 200
+                try:
+                    if silent.recv(1) == b"":
+                        break  # closed while the talker kept talking
+                except socket.timeout:
+                    pass
+                assert time.monotonic() < deadline, "the silent connection was never closed"
+
+    @pytest.mark.skipif(not hasattr(resource, "prlimit"), reason="needs prlimit and /proc (Linux)")
+    def test_out_of_descriptors_the_longest_idle_connection_gives_way(self, server):
+        proc, url, _trace, _obs = server
+        fds = [int(entry.name) for entry in Path(f"/proc/{proc.pid}/fd").iterdir()]
+        limit = max(fds) + 4
+        _soft, hard = resource.prlimit(proc.pid, resource.RLIMIT_NOFILE)
+        resource.prlimit(proc.pid, resource.RLIMIT_NOFILE, (limit, hard))
+        host, port = url[len("http://"):].split(":")
+        health = request_bytes("GET", host, "/v1/health")
+        with contextlib.ExitStack() as stack:
+
+            def connect_and_ask():
+                sock = stack.enter_context(socket.create_connection((host, int(port)), timeout=2))
+                sock.sendall(health)
+                assert read_response(sock)[0] == 200
+                return sock
+
+            socks = [connect_and_ask() for _ in range(limit - len(fds))]  # every free slot
+            socks[0].sendall(health)  # the first is now the last heard from
+            assert read_response(socks[0])[0] == 200
+            newcomer = connect_and_ask()  # answered at once: the second gives way
+            assert socks[1].recv(1) == b""
+            for sock in (socks[0], newcomer):
+                sock.sendall(health)
+                assert read_response(sock)[0] == 200
+        shutdown(proc)
+
+    def test_out_of_descriptors_with_no_connection_open_backs_off(self, monkeypatch):
+        """With nothing of its own to give up, the loop must not spin on a
+        listener that stays readable."""
+        accepts = []
+
+        def out_of_descriptors(sock):
+            accepts.append(time.monotonic())
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        server = make_server(OrchestrationEngine(ServeConfig()), "127.0.0.1", 0)
+        with contextlib.ExitStack() as stack:
+            stack.callback(server.server_close)
+            stack.enter_context(socket.create_connection(server.server_address, timeout=3))
+            monkeypatch.setattr(socket.socket, "accept", out_of_descriptors)
+            assert drain_pending(server, budget_s=0.5) == 0
+        assert 1 <= len(accepts) <= 20
+
+    def test_responses_carry_the_standard_headers(self, threaded_server):
+        _status, headers, body, _closed = _raw_exchange(
+            threaded_server.server_address, b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert headers["Server"] == "repro-serve"
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Date"].endswith(" GMT")
+        assert int(headers["Content-Length"]) == len(json.dumps(body, sort_keys=True))
 
     def test_kept_alive_requests_do_not_stall(self, threaded_server):
         """A body sent after its headers would hold each request ~40 ms on
@@ -250,26 +383,52 @@ def _raw_exchange(address, request: bytes):
 
 class TestFraming:
     @pytest.mark.parametrize(
-        "framing, status",
+        "request_head, status",
         [
-            (b"Content-Length: -1\r\n", "400"),
-            (b"Content-Length: 12abc\r\n", "400"),
-            (b"Content-Length: %d\r\n" % (MAX_BODY_BYTES + 1), "413"),
-            (b"Transfer-Encoding: chunked\r\n", "501"),
+            (b"POST /v1/admit HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n", "400"),
+            (b"POST /v1/admit HTTP/1.1\r\nHost: x\r\nContent-Length: 12abc\r\n\r\n", "400"),
+            (b"POST /v1/admit HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+             % (MAX_BODY_BYTES + 1), "413"),
+            (b"POST /v1/admit HTTP/1.1\r\nHost: x\r\nContent-Length: %s\r\n\r\n"
+             % (b"1" * 5000), "413"),
+            (b"POST /v1/admit HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n", "501"),
+            (b"NONSENSE\r\n\r\n", "400"),
+            (b"POST /v1/admit HTTP/1.1\r\nHost x\r\n\r\n", "400"),
+            (b"GET /v1/health HTTP/1.1\r\nX-Pad: %s\r\n\r\n" % (b"a" * MAX_HEAD_BYTES), "431"),
+            (b"DELETE /v1/health HTTP/1.1\r\nHost: x\r\n\r\n", "501"),
+            (b"GET /v1/health HTTP/2.0\r\nHost: x\r\n\r\n", "505"),
         ],
-        ids=["negative-length", "non-integer-length", "oversized-length", "transfer-encoding"],
+        ids=["negative-length", "non-integer-length", "oversized-length",
+             "length-over-int-digit-limit", "transfer-encoding",
+             "request-line", "header-line", "head-too-long", "method", "version"],
     )
-    def test_refused_at_once_and_connection_closed(self, threaded_server, framing, status):
+    def test_refused_at_once_and_connection_closed(self, threaded_server, request_head, status):
         start = time.monotonic()
         status_line, headers, body, closed = _raw_exchange(
-            threaded_server.server_address,
-            b"POST /v1/admit HTTP/1.1\r\nHost: x\r\n" + framing + b"\r\n",
-        )
+            threaded_server.server_address, request_head)
         assert time.monotonic() - start < 1.0
         assert status_line.split(" ")[1] == status
         assert headers["Connection"] == "close" and closed
-        assert body["ok"] is False
-        assert threaded_server.RequestHandlerClass.engine.n_requests == 0
+        assert body["ok"] is False and body["error"]
+        assert threaded_server.engine.n_requests == 0
+
+    def test_drain_answers_received_requests_with_connection_close(self):
+        engine = OrchestrationEngine(ServeConfig())
+        server = make_server(engine, "127.0.0.1", 0)
+        with contextlib.ExitStack() as stack:
+            stack.callback(server.server_close)
+            socks = [stack.enter_context(socket.create_connection(server.server_address, timeout=3))
+                     for _ in range(2)]
+            for sock in socks:
+                sock.sendall(b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert drain_pending(server, budget_s=5.0) == 2
+            for sock in socks:
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+                assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+                assert b"\r\nConnection: close\r\n" in reply
+        assert engine.n_requests == 2
 
     def test_missing_content_length_is_an_empty_body(self, threaded_server):
         status_line, _headers, body, closed = _raw_exchange(
@@ -287,7 +446,7 @@ class TestFraming:
                 chunk = sock.recv(65536)
                 assert chunk, f"connection closed after {reply!r}"
                 reply += chunk
-        assert threaded_server.RequestHandlerClass.engine.n_requests == 2
+        assert threaded_server.engine.n_requests == 2
 
 
 class TestReplayOverHttp:
