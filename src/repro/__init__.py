@@ -24,36 +24,36 @@ Package map
     ``repro-exp`` CLI.
 """
 
-from repro.core import (
-    PAPER,
-    CYCLE_SECONDS,
-    EDGE_SVM,
-    EDGE_CNN,
-    EDGE_CLOUD_SVM,
-    EDGE_CLOUD_CNN,
-    Scenario,
-    LossConfig,
-    simulate_fleet,
-    sweep_clients,
-    find_crossover,
-)
-from repro.experiments import run_experiment, experiment_ids
+from __future__ import annotations
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "PAPER",
-    "CYCLE_SECONDS",
-    "EDGE_SVM",
-    "EDGE_CNN",
-    "EDGE_CLOUD_SVM",
-    "EDGE_CLOUD_CNN",
-    "Scenario",
-    "LossConfig",
-    "simulate_fleet",
-    "sweep_clients",
-    "find_crossover",
-    "run_experiment",
-    "experiment_ids",
-    "__version__",
-]
+#: Documented top-level name -> defining module, resolved on first use
+#: (PEP 562), so ``import repro`` loads no other module of the package.
+_LAZY = {
+    "PAPER": "core.calibration",
+    "CYCLE_SECONDS": "core.calibration",
+    "EDGE_SVM": "core.routines",
+    "EDGE_CNN": "core.routines",
+    "EDGE_CLOUD_SVM": "core.routines",
+    "EDGE_CLOUD_CNN": "core.routines",
+    "Scenario": "core.routines",
+    "LossConfig": "core.losses",
+    "simulate_fleet": "core.simulate",
+    "sweep_clients": "core.sweep",
+    "find_crossover": "core.crossover",
+    "run_experiment": "experiments.registry",
+    "experiment_ids": "experiments.registry",
+}
+
+
+def __getattr__(name: str):
+    submodule = _LAZY.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+
+
+__all__ = [*_LAZY, "__version__"]

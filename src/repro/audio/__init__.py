@@ -12,15 +12,3 @@ The class cue is deliberately *fine-grained in frequency* so that it
 degrades when mel-spectrograms are resized to small images — reproducing
 the accuracy-vs-image-size behaviour of the paper's Figure 5.
 """
-
-from repro.audio.synth import HiveSoundSynthesizer, SynthParams, QUEENRIGHT, QUEENLESS
-from repro.audio.dataset import QueenDataset, DatasetSpec
-
-__all__ = [
-    "HiveSoundSynthesizer",
-    "SynthParams",
-    "QUEENRIGHT",
-    "QUEENLESS",
-    "QueenDataset",
-    "DatasetSpec",
-]

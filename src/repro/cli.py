@@ -143,12 +143,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     stack = ExitStack()
     if args.validate:
-        from repro.validate import (
-            check_experiment_result,
-            checks_run,
-            reset_check_count,
-            validation,
-        )
+        from repro.validate.schema import check_experiment_result
+        from repro.validate.state import checks_run, reset_check_count, validation
 
         stack.enter_context(validation(True))
         reset_check_count()

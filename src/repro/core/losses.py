@@ -17,12 +17,13 @@ Three independent loss mechanisms, composable through :class:`LossConfig`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.calibration import PAPER, PaperConstants
 from repro.util.validation import check_non_negative
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,12 @@ class ClientLoss:
         if n_clients == 0:
             return 0
         lost = rng.normal(self.mean_fraction * n_clients, self.std)
-        return int(np.clip(round(lost), 0, n_clients))
+        return int(min(max(round(lost), 0), n_clients))
 
     def draw_lost_array(self, n_clients: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Vectorized :meth:`draw_lost` over an array of fleet sizes."""
+        import numpy as np
+
         n = np.asarray(n_clients, dtype=np.int64)
         if np.any(n < 0):
             raise ValueError("n_clients must be >= 0")

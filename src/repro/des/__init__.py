@@ -11,23 +11,3 @@ Design: a binary-heap event queue ordered by ``(time, priority, sequence)``
 processes in the style of SimPy, and monitors that log events and state
 timelines.
 """
-
-from repro.des.engine import Engine, Event, Interrupt, SimulationError
-from repro.des.process import Process, Timeout, Wait, AllOf, AnyOf
-from repro.des.monitor import EventLog, LoggedEvent, Monitor, StateTimeline
-
-__all__ = [
-    "EventLog",
-    "LoggedEvent",
-    "Engine",
-    "Event",
-    "Interrupt",
-    "SimulationError",
-    "Process",
-    "Timeout",
-    "Wait",
-    "AllOf",
-    "AnyOf",
-    "Monitor",
-    "StateTimeline",
-]

@@ -9,23 +9,3 @@ Models the three machines of the paper's testbed:
 * **Cloud server** — an i7-8700K + RTX 2070 machine that is always idle-on
   and executes the queen-detection service in the edge+cloud scenario.
 """
-
-from repro.devices.specs import (
-    DeviceSpec,
-    RASPBERRY_PI_3B_PLUS,
-    RASPBERRY_PI_ZERO_WH,
-    CLOUD_SERVER_I7_RTX2070,
-    catalog,
-)
-from repro.devices.device import DutyCycledDevice, AlwaysOnDevice, DeviceError
-
-__all__ = [
-    "DeviceSpec",
-    "RASPBERRY_PI_3B_PLUS",
-    "RASPBERRY_PI_ZERO_WH",
-    "CLOUD_SERVER_I7_RTX2070",
-    "catalog",
-    "DutyCycledDevice",
-    "AlwaysOnDevice",
-    "DeviceError",
-]

@@ -9,28 +9,3 @@ The day/night outages visible in the paper's Figure 2a (the system halts when
 panel output collapses after sunset and the battery is drained) emerge from
 :class:`repro.energy.harvest.HarvestSimulation`.
 """
-
-from repro.energy.power import PowerState, PowerModel, TaskPower
-from repro.energy.account import EnergyAccount, LedgerEntry
-from repro.energy.battery import Battery
-from repro.energy.solar import SolarPanel, clear_sky_irradiance
-from repro.energy.converter import DCDCConverter
-from repro.energy.harvest import EnergyNode, HarvestSimulation, HarvestResult
-from repro.energy.forecast import DiurnalProfileForecaster, PersistenceForecaster
-
-__all__ = [
-    "PowerState",
-    "PowerModel",
-    "TaskPower",
-    "EnergyAccount",
-    "LedgerEntry",
-    "Battery",
-    "SolarPanel",
-    "clear_sky_irradiance",
-    "DCDCConverter",
-    "EnergyNode",
-    "HarvestSimulation",
-    "HarvestResult",
-    "DiurnalProfileForecaster",
-    "PersistenceForecaster",
-]

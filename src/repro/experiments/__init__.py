@@ -5,8 +5,3 @@ registry maps experiment ids (``"fig3"``, ``"table1"``, …) to runners so
 the CLI and the benchmark suite can drive them uniformly.  Results carry
 paper-reported values next to measured values for EXPERIMENTS.md.
 """
-
-from repro.experiments.report import ExperimentResult, Comparison
-from repro.experiments.registry import REGISTRY, run_experiment, experiment_ids
-
-__all__ = ["ExperimentResult", "Comparison", "REGISTRY", "run_experiment", "experiment_ids"]

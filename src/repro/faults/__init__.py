@@ -15,64 +15,3 @@ The subsystem layers onto the §VI models without touching the ideal paths:
 * :mod:`~repro.faults.desfaults` — the same faults as live, interruptible
   DES processes.
 """
-
-from repro.faults.config import FaultConfig
-from repro.faults.desfaults import DesFaultyResult, run_des_faulty_fleet
-from repro.faults.fleetsim import FaultyFleetResult, run_faulty_fleet
-from repro.faults.monitor import (
-    OUTCOME_BUFFERED,
-    OUTCOME_FAILOVER,
-    OUTCOME_FALLBACK,
-    OUTCOME_MISSED,
-    OUTCOME_OK,
-    OUTCOME_RETRIED,
-    FaultMonitor,
-    ResilienceReport,
-)
-from repro.faults.retry import RetryPolicy
-from repro.faults.schedule import FaultSchedule, compile_schedule
-from repro.faults.spec import (
-    ALL_FAULT_KINDS,
-    CLIENT_CRASH,
-    LINK_BLACKOUT,
-    LINK_DEGRADATION,
-    SERVER_OUTAGE,
-    ClientCrash,
-    FaultSpec,
-    FaultWindow,
-    LinkBlackout,
-    LinkDegradation,
-    ServerOutage,
-    never,
-)
-
-__all__ = [
-    "FaultConfig",
-    "FaultMonitor",
-    "ResilienceReport",
-    "RetryPolicy",
-    "FaultSchedule",
-    "compile_schedule",
-    "FaultWindow",
-    "FaultSpec",
-    "ServerOutage",
-    "LinkBlackout",
-    "LinkDegradation",
-    "ClientCrash",
-    "never",
-    "FaultyFleetResult",
-    "run_faulty_fleet",
-    "DesFaultyResult",
-    "run_des_faulty_fleet",
-    "OUTCOME_OK",
-    "OUTCOME_RETRIED",
-    "OUTCOME_FAILOVER",
-    "OUTCOME_FALLBACK",
-    "OUTCOME_BUFFERED",
-    "OUTCOME_MISSED",
-    "SERVER_OUTAGE",
-    "LINK_BLACKOUT",
-    "LINK_DEGRADATION",
-    "CLIENT_CRASH",
-    "ALL_FAULT_KINDS",
-]

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.util.rng import SeedLike, make_rng
 from repro.util.validation import check_in_range, check_non_negative
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

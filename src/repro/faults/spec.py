@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.core.calibration import CYCLE_SECONDS
 from repro.core.losses import ClientLoss
 from repro.util.validation import check_non_negative, check_positive
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Window kinds (``FaultWindow.kind`` values).
 SERVER_OUTAGE = "server_outage"

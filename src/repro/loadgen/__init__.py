@@ -10,24 +10,3 @@ placement trace can be checked against the batch simulator.
 
 See ``docs/SERVING.md`` for usage and the open- vs closed-loop semantics.
 """
-
-from repro.loadgen.arrivals import Arrival, LoadSpec, hive_stream, merged_stream
-from repro.loadgen.replay import (
-    HttpTransport,
-    InProcessTransport,
-    ReplayReport,
-    replay,
-    replay_in_process,
-)
-
-__all__ = [
-    "Arrival",
-    "LoadSpec",
-    "hive_stream",
-    "merged_stream",
-    "HttpTransport",
-    "InProcessTransport",
-    "ReplayReport",
-    "replay",
-    "replay_in_process",
-]

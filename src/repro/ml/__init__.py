@@ -8,22 +8,3 @@ Two model families mirror §V of the paper:
   residual blocks, SGD training) able to build ResNet-18, plus a FLOP/energy
   model for inference-cost analysis.
 """
-
-from repro.ml.kernels import rbf_kernel, linear_kernel, polynomial_kernel
-from repro.ml.svm import SVC
-from repro.ml.scaler import StandardScaler
-from repro.ml.metrics import accuracy, confusion_matrix, precision_recall_f1
-from repro.ml.split import train_test_split, kfold_indices
-
-__all__ = [
-    "rbf_kernel",
-    "linear_kernel",
-    "polynomial_kernel",
-    "SVC",
-    "StandardScaler",
-    "accuracy",
-    "confusion_matrix",
-    "precision_recall_f1",
-    "train_test_split",
-    "kfold_indices",
-]

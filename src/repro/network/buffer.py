@@ -29,11 +29,10 @@ as reconnect bursts pile up.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.network.link import LinkModel
 from repro.network.wifi import PAPER_CYCLE_PAYLOAD_BYTES
@@ -87,9 +86,9 @@ class BufferSpec:
             raise ValueError(
                 f"unknown buffer policy {self.policy!r} (known: {BUFFER_POLICIES})"
             )
-        if not isinstance(self.capacity_bytes, (int, np.integer)):
+        if not isinstance(self.capacity_bytes, numbers.Integral):
             raise ValueError("capacity_bytes must be an integer byte count")
-        if not isinstance(self.payload_bytes, (int, np.integer)):
+        if not isinstance(self.payload_bytes, numbers.Integral):
             raise ValueError("payload_bytes must be an integer byte count")
         check_positive(self.capacity_bytes, "capacity_bytes")
         check_positive(self.payload_bytes, "payload_bytes")
@@ -308,6 +307,8 @@ class BufferReport:
         was drained)."""
         if not self.delays_s:
             return 0.0
+        import numpy as np
+
         return float(np.quantile(np.asarray(self.delays_s), q))
 
     def describe(self) -> str:

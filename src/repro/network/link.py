@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.util.rng import SeedLike, resolve_rng  # noqa: F401  (re-export)
 from repro.util.validation import check_in_range, check_non_negative, check_positive
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _check_payload(payload_bytes) -> float:
@@ -53,10 +55,14 @@ class LinkModel:
         self.handshake_s = check_non_negative(handshake_s, "handshake_s")
         # Log-normal parameterized so the *median* is nominal_bps and the
         # multiplicative spread matches cv.
-        self._sigma = np.sqrt(np.log1p(self.cv**2))
+        self._sigma = math.sqrt(math.log1p(self.cv**2))
+        # Throughput at the log-normal's mean, which prices expected transfers.
+        self._mean_bps = self.nominal_bps * math.exp(self._sigma**2 / 2)
 
     def sample_throughput(self, rng: np.random.Generator, size=None):
         """Draw throughput(s) in bits/s."""
+        import numpy as np
+
         if self.cv == 0.0:
             if size is None:
                 return self.nominal_bps
@@ -80,8 +86,7 @@ class LinkModel:
     def expected_duration(self, payload_bytes: int) -> float:
         """Duration at the *mean* throughput (log-normal mean > median)."""
         _check_payload(payload_bytes)
-        mean_bps = self.nominal_bps * np.exp(self._sigma**2 / 2)
-        return self.handshake_s + payload_bytes * 8.0 / mean_bps
+        return self.handshake_s + payload_bytes * 8.0 / self._mean_bps
 
     def describe(self) -> dict:
         """Stable, JSON-safe parameters (for config headers and fingerprints)."""

@@ -1,4 +1,4 @@
-"""Crash-safe execution: checkpoints, supervision, chaos (PR 5).
+"""Crash-safe execution: checkpoints, supervision, chaos.
 
 The north-star "production-scale system" must survive interruption: a
 week-long sweep that is preempted, OOM-killed, or loses a worker must
@@ -27,51 +27,6 @@ executable scenarios: SIGKILLed workers, truncated checkpoints, stale
 schemas, kill-and-resume fingerprint equality.  ``docs/RESILIENCE.md``
 is the prose contract.
 
-Like :mod:`repro.obs`, the package lazy-loads: importing it costs nothing
-until a symbol is touched, so the unresilient fast path stays unchanged.
+The package re-exports nothing: import each name from its module, so
+importing one layer loads no other.
 """
-
-from __future__ import annotations
-
-#: name → defining submodule (PEP 562 lazy resolution).
-_LAZY = {
-    "ResilienceError": "errors",
-    "SnapshotError": "errors",
-    "CheckpointError": "errors",
-    "CheckpointCorrupt": "errors",
-    "CheckpointSchemaMismatch": "errors",
-    "CheckpointMismatch": "errors",
-    "InterruptedRun": "errors",
-    "SupervisionError": "errors",
-    "register_callback": "registry",
-    "SNAPSHOT_VERSION": "snapshot",
-    "snapshot_engine": "snapshot",
-    "restore_engine": "snapshot",
-    "snapshot_rng": "snapshot",
-    "restore_rng": "snapshot",
-    "snapshot_schedule": "snapshot",
-    "restore_schedule": "snapshot",
-    "snapshot_obs": "snapshot",
-    "restore_obs": "snapshot",
-    "CHECKPOINT_SCHEMA": "checkpoint",
-    "run_key": "checkpoint",
-    "write_checkpoint": "checkpoint",
-    "load_checkpoint": "checkpoint",
-    "CheckpointPolicy": "checkpoint",
-    "Checkpointer": "checkpoint",
-    "RunCheckpoint": "checkpoint",
-    "StageCheckpoint": "checkpoint",
-    "supervised_map": "supervisor",
-}
-
-
-def __getattr__(name: str):
-    submodule = _LAZY.get(name)
-    if submodule is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
-
-
-__all__ = list(_LAZY)

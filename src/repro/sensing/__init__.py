@@ -7,9 +7,3 @@ temperature, per-day cloud cover modulating irradiance, and an in-hive
 microclimate model (bee colonies thermoregulate the brood nest near 35 °C;
 the paper's empty hive instead tracks ambient, which we also support).
 """
-
-from repro.sensing.weather import WeatherModel, WeatherTrace
-from repro.sensing.hive import HiveMicroclimate
-from repro.sensing.traces import Trace, resample
-
-__all__ = ["WeatherModel", "WeatherTrace", "HiveMicroclimate", "Trace", "resample"]

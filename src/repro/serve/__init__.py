@@ -26,8 +26,3 @@ Layering, innermost first:
 
 Drive it with :mod:`repro.loadgen` for seeded, replayable load.
 """
-
-from repro.serve.engine import OPS, OrchestrationEngine, ServeConfig
-from repro.serve.trace import PlacementTrace
-
-__all__ = ["OPS", "OrchestrationEngine", "ServeConfig", "PlacementTrace"]

@@ -8,8 +8,9 @@ report to stdout, and exits 0 — the contract the integration tests and the
 ``serve-smoke`` CI job rely on.
 
 ``--port 0`` binds an ephemeral port; ``--port-file`` writes the chosen
-port as soon as the socket is bound so a parent process (test harness,
-load generator script) can discover it without racing the boot.
+port once the socket is bound and the SIGTERM/SIGINT handlers are in, so
+a parent process (test harness, load generator script) can discover it
+without racing the boot, and stop it gracefully the moment it appears.
 
 Resilience knobs (all off by default — the default run stays bit-identical
 to the fault-free serving layer):
@@ -183,14 +184,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     server = make_server(engine, args.host, args.port)
     port = server.server_address[1]
-    if args.port_file:
-        atomic_write(args.port_file, f"{port}\n")
     state = "resumed" if resumed else "fresh"
-    print(f"repro-serve listening on http://{args.host}:{port}/v1/ "
-          f"(policy={config.policy}, model={config.model}, {state}, "
-          f"requests={engine.n_requests})", file=sys.stderr)
+
+    def announce() -> None:
+        # Called once the stop handlers are in: a parent that signals as
+        # soon as the port file appears still gets a graceful stop and a report.
+        if args.port_file:
+            try:
+                atomic_write(args.port_file, f"{port}\n")
+            except OSError as exc:
+                print(f"error: cannot write port file {args.port_file}: {exc}", file=sys.stderr)
+                raise SystemExit(2) from None
+        print(f"repro-serve listening on http://{args.host}:{port}/v1/ "
+              f"(policy={config.policy}, model={config.model}, {state}, "
+              f"requests={engine.n_requests})", file=sys.stderr)
+
     try:
-        signum = serve_until_signal(server)
+        signum = serve_until_signal(server, announce)
         if checkpointer is not None:
             checkpointer.flush(engine)
     except OSError as exc:

@@ -273,6 +273,12 @@ class OrchestrationEngine:
                 raise ValueError(
                     f"non-monotonic request time {t!r} after {self._last_t!r}"
                 )
+            # Refuse a seat change before the clock moves.  No transition
+            # seats or unseats a hive: a failure's repack re-seats every orphan.
+            if op == "admit" and hive in self.live:
+                raise ValueError(f"hive {hive} is already admitted")
+            if op == "release" and hive not in self.live:
+                raise ValueError(f"hive {hive} is not admitted")
             self._observe_arrival(t)
             self._prune_inflight(t)
             self._advance_faults(t)
@@ -373,7 +379,7 @@ class OrchestrationEngine:
         if not payloads:
             return
         nbytes = sum(p.nbytes for p in payloads)
-        duration = float(self.config.link.expected_duration(nbytes))
+        duration = self.config.link.expected_duration(nbytes)
         energy = self.radio_watts * duration
         self.obs.ledger.add("transfer", energy, duration)
         self.obs.metrics.counter("serve.drained").inc(len(payloads))
@@ -448,8 +454,6 @@ class OrchestrationEngine:
         }
 
     def _release(self, hive: int, t: float) -> Dict[str, Any]:
-        if hive not in self.live:
-            raise KeyError(f"hive {hive} is not admitted")
         self.live.release(hive)
         self.obs.metrics.counter("serve.releases").inc()
         self.obs.metrics.gauge("serve.fleet").set(len(self.live))
@@ -463,9 +467,7 @@ class OrchestrationEngine:
         shed = self._maybe_shed("telemetry", hive, t)
         if shed is not None:
             return shed
-        # float() strips the numpy scalar: trace lines hash the repr and the
-        # HTTP layer JSON-encodes the response, both need a plain float.
-        duration = float(self.config.link.expected_duration(payload_bytes))
+        duration = self.config.link.expected_duration(payload_bytes)
         energy = self.radio_watts * duration
         self.obs.ledger.add("transfer", energy, duration)
         self._latencies["telemetry"].append(duration)

@@ -8,8 +8,9 @@ with a JSON body and ``GET /v1/health`` map straight onto
 connection and serves complete requests one at a time, in the order it
 reads them, which is what makes an HTTP replay produce the same placement
 trace as the in-process fold (the determinism the ``serve-trace`` golden
-pins).  A client that has sent half a request holds up nobody, and a
-connection silent for :data:`IDLE_TIMEOUT_S` is closed.  Out of file
+pins).  A client that has sent half a request, or stopped reading its
+responses, holds up nobody, and a connection that makes no progress for
+:data:`IDLE_TIMEOUT_S` is closed.  Out of file
 descriptors, the server closes its longest-idle connection to accept the
 next one.
 
@@ -44,7 +45,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.serve.engine import OPS, OrchestrationEngine
 
@@ -62,8 +63,8 @@ MAX_BODY_BYTES = 64 * 1024
 #: a longer one is refused with 431.
 MAX_HEAD_BYTES = 16 * 1024
 
-#: A connection that sends nothing for this long is closed (seconds); it
-#: also bounds a send to a client that stopped reading.
+#: A connection that sends nothing, or takes none of a pending response,
+#: for this long is closed (seconds).
 IDLE_TIMEOUT_S = 5.0
 
 _TOKEN = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
@@ -191,13 +192,15 @@ def _route(path: str) -> Optional[str]:
 
 
 class _Connection:
-    __slots__ = ("sock", "data", "seen", "continued")
+    __slots__ = ("sock", "data", "seen", "continued", "out", "closing")
 
     def __init__(self, sock: socket.socket, now: float) -> None:
         self.sock = sock
         self.data = b""
         self.seen = now
         self.continued = False
+        self.out = b""  # the unsent tail of a response
+        self.closing = False  # close once ``out`` is sent
 
 
 class HttpServer:
@@ -206,7 +209,11 @@ class HttpServer:
     ``stopping`` ends :meth:`serve_forever` within one poll; every response
     sent once it is set carries ``Connection: close``.  Open connections
     are kept least recently heard from first, so the idle sweep and the
-    choice of a connection to give up look only at the front.
+    choice of a connection to give up look only at the front.  Sockets are
+    non-blocking: a response the client's buffers cannot take at once
+    waits on its connection for ``EVENT_WRITE``, and until it has gone the
+    loop neither reads from that connection nor answers its requests, so a
+    client that stops reading stalls only itself.
     """
 
     def __init__(self, engine: OrchestrationEngine, host: str, port: int) -> None:
@@ -249,9 +256,11 @@ class HttpServer:
         events = self._selector.select(timeout)
         now = time.monotonic()
         answered = 0
-        for key, _ in events:
+        for key, mask in events:
             if key.data is None:
                 self._accept(now)
+            elif mask & selectors.EVENT_WRITE:
+                answered += self._write(key.data, now)
             else:
                 answered += self._read(key.data, now)
         while self._connections:
@@ -274,7 +283,7 @@ class HttpServer:
                     time.sleep(0.05)
             return  # otherwise the client gave up while queued
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(IDLE_TIMEOUT_S)
+        sock.setblocking(False)
         conn = _Connection(sock, now)
         self._connections[conn] = None
         self._selector.register(sock, selectors.EVENT_READ, conn)
@@ -289,6 +298,8 @@ class HttpServer:
         """Take what ``conn`` sent and answer every complete request in it."""
         try:
             chunk = conn.sock.recv(65536)
+        except BlockingIOError:  # nothing to read after all
+            return 0
         except OSError:  # reset by the client
             chunk = b""
         if not chunk:
@@ -296,7 +307,34 @@ class HttpServer:
             return 0
         conn.seen = now
         self._connections.move_to_end(conn)
-        data = conn.data + chunk if conn.data else chunk
+        conn.data = conn.data + chunk if conn.data else chunk
+        return self._serve(conn)
+
+    def _write(self, conn: _Connection, now: float) -> int:
+        """Send more of ``conn``'s pending response; once it is all gone,
+        read from ``conn`` again and answer the requests it already sent."""
+        try:
+            sent = conn.sock.send(conn.out)
+        except BlockingIOError:
+            return 0
+        except OSError:
+            self._close(conn)
+            return 0
+        conn.out = conn.out[sent:]
+        conn.seen = now
+        self._connections.move_to_end(conn)
+        if conn.out:
+            return 0
+        if conn.closing:
+            self._close(conn)
+            return 0
+        self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+        return self._serve(conn)
+
+    def _serve(self, conn: _Connection) -> int:
+        """Answer the complete requests in ``conn``'s bytes, in order, until
+        one leaves a response pending or closes the connection."""
+        data = conn.data
         answered = 0
         while True:
             request = cut_request(data)
@@ -304,8 +342,7 @@ class HttpServer:
                 break
             if isinstance(request, Refusal):
                 self._send(conn, _response(request.status, {"ok": False, "error": request.error},
-                                           close=True))
-                self._close(conn)
+                                           close=True), close=True)
                 return answered + 1
             if request.body is None:
                 if request.expect_continue and not conn.continued:
@@ -321,16 +358,28 @@ class HttpServer:
                 self._close(conn)  # unanswered: the engine's state is in doubt
                 raise
             answered += 1
-            if not self._send(conn, reply) or close:
-                self._close(conn)
-                return answered
+            if not self._send(conn, reply, close):
+                break
         conn.data = data
         return answered
 
-    def _send(self, conn: _Connection, payload: bytes) -> bool:
+    def _send(self, conn: _Connection, payload: bytes, close: bool = False) -> bool:
+        """Send ``payload`` with one ``send``; whatever the socket does not
+        take waits for ``EVENT_WRITE``.  Returns whether ``conn`` can be
+        answered again right away."""
         try:
-            conn.sock.sendall(payload)
+            sent = conn.sock.send(payload)
+        except BlockingIOError:
+            sent = 0
         except OSError:
+            self._close(conn)
+            return False
+        if sent < len(payload):
+            conn.out = payload[sent:]
+            conn.closing = close
+            self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+            return False
+        if close:
             self._close(conn)
             return False
         return True
@@ -378,7 +427,8 @@ def drain_pending(server: HttpServer, budget_s: float = DRAIN_BUDGET_S) -> int:
     would otherwise be offered but never counted, breaking the
     serve-conservation contract at the transport.  This keeps serving,
     each answer with ``Connection: close``, until a poll finds nothing
-    ready or ``budget_s`` has passed.  Returns the number of responses sent.
+    ready and no response is still pending, or ``budget_s`` has passed.
+    Returns the number of responses sent.
     """
     server.stopping = True
     deadline = time.monotonic() + budget_s
@@ -389,18 +439,21 @@ def drain_pending(server: HttpServer, budget_s: float = DRAIN_BUDGET_S) -> int:
             break
         ready, sent = server._poll(min(remaining, 0.05))
         answered += sent
-        if not ready:
-            break  # nothing left to answer
+        if not ready and not any(conn.out for conn in server._connections):
+            break  # nothing left to answer or send
     return answered
 
 
-def serve_until_signal(server: HttpServer) -> int:
+def serve_until_signal(server: HttpServer, ready: Callable[[], None]) -> int:
     """Run the loop until SIGTERM/SIGINT; returns the signal number.
 
-    Restores the previous handlers on exit so embedding callers (tests)
-    keep their signal disposition.  Before the socket closes, the requests
-    already received are answered (:func:`drain_pending`), so a graceful
-    stop never drops an already-connected client.  An exception the engine
+    ``ready`` runs once the stop handlers are installed, before the first
+    poll, so a signal sent as soon as it has announced the server stops it
+    gracefully.  Restores the previous handlers on exit so embedding
+    callers (tests) keep their signal disposition.  Before the socket
+    closes, the requests already received are answered
+    (:func:`drain_pending`), so a graceful stop never drops an
+    already-connected client.  An exception the engine
     raised while handling a request stops the server without draining, and
     is re-raised here.
     """
@@ -414,6 +467,7 @@ def serve_until_signal(server: HttpServer) -> int:
         sig: signal.signal(sig, _stop) for sig in (signal.SIGTERM, signal.SIGINT)
     }
     try:
+        ready()
         server.serve_forever(poll_interval=0.05)
         drain_pending(server)
     finally:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-SeedLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
+SeedLike = Union[int, "np.random.Generator", "np.random.SeedSequence", None]
 
 #: Default seed used by experiments when the caller does not provide one.
 DEFAULT_SEED = 0xBEE5
@@ -30,6 +31,8 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
         ``None`` (use :data:`DEFAULT_SEED`), an ``int``, a ``SeedSequence``,
         or an existing ``Generator`` (returned unchanged).
     """
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, np.random.SeedSequence):
@@ -70,6 +73,8 @@ def spawn(rng: np.random.Generator, n: int = 1) -> list[np.random.Generator]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    import numpy as np
+
     entropy = int(rng.integers(0, 2**63 - 1))
     seq = np.random.SeedSequence(entropy)
     return [np.random.default_rng(child) for child in seq.spawn(n)]
@@ -106,6 +111,8 @@ def choice_without_replacement(
     rng: np.random.Generator, pool: Sequence[int], size: int
 ) -> np.ndarray:
     """Sample ``size`` distinct items from ``pool`` (clamped to pool size)."""
+    import numpy as np
+
     size = min(size, len(pool))
     if size <= 0:
         return np.empty(0, dtype=np.int64)

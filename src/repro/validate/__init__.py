@@ -18,50 +18,3 @@ Two halves:
 See ``docs/TESTING.md`` for the invariant catalog and the golden
 regeneration workflow.
 """
-
-from repro.validate.errors import InvariantViolation
-from repro.validate.invariants import (
-    Checker,
-    ServeConservation,
-    battery_delta,
-    check_monotone_nonincreasing,
-    default_checkers,
-    run_checkers,
-    validate_des_faulty_run,
-    validate_des_run,
-    validate_faulty_fleet_result,
-    validate_fleet_result,
-    validate_sweep_result,
-)
-from repro.validate.schema import check_experiment_dict, check_experiment_result
-from repro.validate.state import (
-    checks_run,
-    reset_check_count,
-    resolve,
-    set_validation,
-    validation,
-    validation_enabled,
-)
-
-__all__ = [
-    "InvariantViolation",
-    "Checker",
-    "ServeConservation",
-    "battery_delta",
-    "check_monotone_nonincreasing",
-    "default_checkers",
-    "run_checkers",
-    "validate_des_faulty_run",
-    "validate_des_run",
-    "validate_faulty_fleet_result",
-    "validate_fleet_result",
-    "validate_sweep_result",
-    "check_experiment_dict",
-    "check_experiment_result",
-    "checks_run",
-    "reset_check_count",
-    "resolve",
-    "set_validation",
-    "validation",
-    "validation_enabled",
-]

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, Optional, Sequence
 
-import numpy as np
-
 from repro.energy.account import EnergyAccount
 from repro.energy.battery import Battery
 from repro.validate.errors import InvariantViolation
@@ -329,6 +327,8 @@ class FaultyArraysConsistent(Checker):
     contract = "per-cycle overhead arrays are finite, non-negative, and sum to the monitor's totals"
 
     def check(self, subject: Any, context: Dict[str, Any]) -> None:
+        import numpy as np
+
         arrays = {
             "edge_energy_j": subject.edge_energy_j,
             "server_energy_j": subject.server_energy_j,
@@ -639,6 +639,8 @@ def validate_sweep_result(
     :func:`repro.core.simulate.simulate_fleet` and reconciled exactly —
     the closed-form fast path may never drift from the object-level model.
     """
+    import numpy as np
+
     from repro.core.simulate import simulate_fleet
 
     ctx = {"path": "sweep_clients", "scenario": scenario.name}
@@ -686,6 +688,8 @@ def validate_sweep_result(
 
 def check_monotone_nonincreasing(values, invariant: str = "monotone-availability", context=None) -> None:
     """Raise unless ``values`` is non-increasing (e.g. availability vs fault rate)."""
+    import numpy as np
+
     arr = np.asarray(list(values), dtype=float)
     note_check()
     if np.any(np.diff(arr) > 1e-12):

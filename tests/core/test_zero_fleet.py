@@ -15,8 +15,10 @@ from repro.core.dessim import run_des_fleet
 from repro.core.routines import make_scenario
 from repro.core.simulate import simulate_fleet
 from repro.core.sweep import sweep_clients
-from repro.faults import FaultConfig, ServerOutage, run_des_faulty_fleet
+from repro.faults.config import FaultConfig
+from repro.faults.desfaults import run_des_faulty_fleet
 from repro.faults.fleetsim import run_faulty_fleet
+from repro.faults.spec import ServerOutage
 
 
 @pytest.fixture(scope="module")

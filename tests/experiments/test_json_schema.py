@@ -15,7 +15,8 @@ import pytest
 
 from repro.audio.dataset import DatasetSpec
 from repro.experiments.registry import EXTENSIONS, REGISTRY, run_experiment
-from repro.validate import InvariantViolation, check_experiment_dict, check_experiment_result
+from repro.validate.errors import InvariantViolation
+from repro.validate.schema import check_experiment_dict, check_experiment_result
 
 #: Reduced kwargs so the whole sweep stays tier-1 fast (mirrors the reduced
 #: configs used by tests/experiments/test_extensions.py).

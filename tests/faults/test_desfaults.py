@@ -7,13 +7,9 @@ import pytest
 from repro.core.dessim import run_des_fleet
 from repro.core.losses import ClientLoss, LossConfig
 from repro.core.routines import make_scenario
-from repro.faults import (
-    ClientCrash,
-    DesFaultyResult,
-    FaultConfig,
-    ServerOutage,
-    run_des_faulty_fleet,
-)
+from repro.faults.config import FaultConfig
+from repro.faults.desfaults import DesFaultyResult, run_des_faulty_fleet
+from repro.faults.spec import ClientCrash, ServerOutage
 
 
 @pytest.fixture(scope="module")

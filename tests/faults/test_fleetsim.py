@@ -6,14 +6,9 @@ import pytest
 from repro.core.losses import ClientLoss, LossConfig
 from repro.core.routines import make_scenario
 from repro.core.simulate import simulate_fleet
-from repro.faults import (
-    ClientCrash,
-    FaultConfig,
-    LinkBlackout,
-    LinkDegradation,
-    ServerOutage,
-    run_faulty_fleet,
-)
+from repro.faults.config import FaultConfig
+from repro.faults.fleetsim import run_faulty_fleet
+from repro.faults.spec import ClientCrash, LinkBlackout, LinkDegradation, ServerOutage
 
 
 @pytest.fixture(scope="module")

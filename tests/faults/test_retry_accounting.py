@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.routines import make_scenario
-from repro.faults import FaultConfig, ServerOutage, run_des_faulty_fleet
-from repro.faults.config import LinkBlackout
+from repro.faults.config import FaultConfig, LinkBlackout
+from repro.faults.desfaults import run_des_faulty_fleet
+from repro.faults.spec import ServerOutage
 from repro.faults.fleetsim import run_faulty_fleet
 from repro.faults.retry import RetryPolicy
 

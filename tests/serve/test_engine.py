@@ -57,7 +57,7 @@ class TestAdmitRelease:
         e = engine()
         e.handle({"op": "admit", "hive": 4, "t": 0.0})
         r = e.handle({"op": "admit", "hive": 4, "t": 1.0})
-        assert not r["ok"] and "allocated twice" in r["error"]
+        assert not r["ok"] and "hive 4 is already admitted" in r["error"]
         assert e.n_errors == 1
 
     def test_budget_exhaustion_is_a_polite_rejection(self):

@@ -12,10 +12,13 @@ import errno
 import http.client
 import json
 import math
+import os
+import re
 import resource
 import signal
 import socket
 import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -112,6 +115,31 @@ class TestLifecycle:
         assert trace["n_events"] == 2
         assert len(trace["events"]) == 2
 
+    def test_sigterm_the_moment_the_port_file_appears_is_graceful(self, tmp_path):
+        """The stop handlers are in before the port file is written, so a
+        parent that signals as soon as the file appears still gets exit 0
+        and the JSON report, every time."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"))
+        for boot in range(6):
+            port_file = tmp_path / f"port-{boot}"
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.serve.cli", "--port", "0",
+                 "--port-file", str(port_file)],
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+            )
+            try:
+                deadline = time.monotonic() + 30.0
+                while not port_file.exists():  # no sleep: signal at once
+                    assert proc.poll() is None and time.monotonic() < deadline
+                proc.send_signal(signal.SIGTERM)
+                stdout, _ = proc.communicate(timeout=30)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+            assert proc.returncode == 0, f"boot {boot}: exit {proc.returncode}"
+            assert json.loads(stdout)["shutdown_signal"] == signal.SIGTERM
+
     def test_unknown_route_404_and_bad_json_400(self, server):
         proc, url, _trace, _obs = server
         with pytest.raises(urllib.error.HTTPError) as exc:
@@ -129,7 +157,7 @@ class TestLifecycle:
         with HttpTransport(url) as t:
             t.send({"op": "admit", "hive": 7, "t": 0.0})
             r = t.send({"op": "admit", "hive": 7, "t": 1.0})
-        assert r["ok"] is False and "allocated twice" in r["error"]
+        assert r["ok"] is False and "hive 7 is already admitted" in r["error"]
 
 
 class _TakingTurns:
@@ -324,6 +352,63 @@ class TestKeepAlive:
                 assert transport.health()["ok"] is True
             assert time.monotonic() - start < 1.0
 
+    def test_each_response_is_one_send(self, threaded_server, monkeypatch):
+        sends = []
+        send = socket.socket.send
+
+        def counting_send(sock, data, *args):
+            sends.append(len(data))
+            return send(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "send", counting_send)
+        host, port = threaded_server.server_address
+        with HttpTransport(f"http://{host}:{port}") as transport:
+            for _ in range(20):
+                assert transport.health()["ok"] is True
+        assert len(sends) == 20
+
+    def test_a_client_that_never_reads_holds_up_no_one(self, threaded_server):
+        """One client pipelines far more responses than the socket buffers
+        hold and reads none of them: a second client is still answered at
+        once, and the first then gets every response, in order."""
+        n = 20_000
+        engine = threaded_server.engine
+        with socket.socket() as hog:
+            hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            hog.connect(threaded_server.server_address)
+            threading.Thread(
+                target=hog.sendall, args=(request_bytes("GET", "x", "/v1/health") * n,),
+                daemon=True,
+            ).start()
+            deadline = time.monotonic() + 4.0
+            seen = -1
+            while seen != engine.n_requests:  # until the hog's answers back up
+                seen = engine.n_requests
+                time.sleep(0.2)
+                assert time.monotonic() < deadline, "the hog's responses never backed up"
+            assert seen < n
+            with socket.create_connection(threaded_server.server_address, timeout=3) as probe:
+                start = time.monotonic()
+                probe.sendall(request_bytes("GET", "x", "/v1/health"))
+                assert read_response(probe)[0] == 200
+                assert time.monotonic() - start < 0.5
+            hog.settimeout(10)
+            stream, counts = b"", []
+            while len(counts) < n:
+                chunk = hog.recv(1 << 20)
+                assert chunk, f"the connection closed after {len(counts)} responses"
+                stream += chunk
+                while (head_end := stream.find(b"\r\n\r\n")) >= 0:
+                    head = stream[:head_end]
+                    end = head_end + 4 + int(re.search(rb"Content-Length: (\d+)", head)[1])
+                    if len(stream) < end:
+                        break
+                    assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+                    counts.append(json.loads(stream[head_end + 4:end])["requests"])
+                    stream = stream[end:]
+        assert counts == sorted(counts) and len(set(counts)) == n
+        assert engine.n_requests == n + 1
+
     def test_error_bodies_and_retry_after_are_unchanged(self, threaded_server):
         """404/400/422/503 on one kept-alive connection, as the in-process path answers."""
         reference = OrchestrationEngine(ServeConfig(queue_bound=1))
@@ -513,3 +598,14 @@ class TestCliFlags:
         )
         assert proc.returncode != 0
         assert b"policy" in proc.stderr
+
+    def test_unwritable_port_file_exits_2(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.serve.cli", "--port", "0",
+             "--port-file", str(tmp_path / "missing" / "port")],
+            capture_output=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith("error: cannot write port file")
+        assert proc.stdout == b""

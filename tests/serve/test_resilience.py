@@ -61,8 +61,7 @@ from repro.serve.engine import (
 from repro.serve.faults import SERVER_FAIL, SERVER_RECOVER, ServeFaultSpec
 from repro.serve.http import drain_pending, make_server
 from repro.serve.trace import EVENT_KEYS, parse_event, render_event
-from repro.validate import ServeConservation
-from repro.validate.invariants import run_checkers
+from repro.validate.invariants import ServeConservation, run_checkers
 
 FAULTS = ServeFaultSpec(
     server_mtbf_s=150.0,
@@ -861,6 +860,43 @@ class TestRequestBoundary:
         assert bad["ok"] is False
         assert engine.handle({"op": "admit", "hive": 1, "t": 50.0})["ok"] is True
         assert engine._last_t == 50.0
+
+    @pytest.mark.parametrize("faults", [None, FAULTS], ids=["fault-free", "failure-due"])
+    @pytest.mark.parametrize(
+        "op, hive, error",
+        [("admit", 39, "ValueError: hive 39 is already admitted"),
+         ("release", 99, "ValueError: hive 99 is not admitted")],
+        ids=["duplicate-admit", "unseated-release"],
+    )
+    def test_refused_seat_change_moves_only_the_counters(self, op, hive, error, faults):
+        # 40 hives span servers 0-2; with faults the refused request comes
+        # after the first failure is due, and the failure stays pending.
+        engine = OrchestrationEngine(ServeConfig(max_parallel=1, faults=faults))
+        for seat in range(40):
+            assert engine.handle({"op": "admit", "hive": seat, "t": 1.0})["admitted"] is True
+        t = 2.0
+        if faults is not None:
+            fail_t, failed = _first_fail(engine.faults)
+            assert fail_t > 1.0 and engine.live.placement_of(39).server == failed
+            t = fail_t + 1.0
+        before = snapshot_engine(engine)
+        assert engine.handle({"op": op, "hive": hive, "t": t}) == {
+            "ok": False, "op": op, "error": error,
+        }
+        assert engine._last_t == 1.0
+        after = snapshot_engine(engine)
+
+        def uncounted(snapshot):
+            metrics = [m for m in snapshot["obs"]["metrics"]
+                       if m["name"] not in ("serve.requests", f"serve.requests.{op}", "serve.errors")]
+            return {**snapshot, "counters": None, "obs": {**snapshot["obs"], "metrics": metrics}}
+
+        assert uncounted(after) == uncounted(before)
+        counted = ("n_requests", "n_errors", "n_offered", "n_errored")
+        assert after["counters"] == {
+            name: value + (name in counted) for name, value in before["counters"].items()
+        }
+        assert engine.handle({"op": "inference", "hive": 0, "t": 1.5})["ok"] is True
 
     def test_operand_limits_are_inclusive(self):
         engine = OrchestrationEngine(ServeConfig())

@@ -12,23 +12,23 @@ from repro.core.routines import EDGE_CLOUD_SVM, EDGE_SVM, make_scenario
 from repro.core.server import SlotPlan
 from repro.core.allocator import Allocation, ServerAssignment
 from repro.energy.account import EnergyAccount
-from repro.validate import (
-    InvariantViolation,
+from repro.validate.errors import InvariantViolation
+from repro.validate.invariants import (
+    AvailabilityBounds,
+    CohortPartition,
+    LedgerConservation,
     battery_delta,
     check_monotone_nonincreasing,
+    run_checkers,
+    validate_des_run,
+)
+from repro.validate.state import (
     checks_run,
     reset_check_count,
     resolve,
     set_validation,
     validation,
     validation_enabled,
-)
-from repro.validate.invariants import (
-    AvailabilityBounds,
-    CohortPartition,
-    LedgerConservation,
-    run_checkers,
-    validate_des_run,
 )
 
 

@@ -79,7 +79,7 @@ class TestFig3:
         assert powers[-1] >= PAPER.sleep_watts  # floor is the sleep draw
 
     def test_monotone_decrease(self):
-        from repro.validate import check_monotone_nonincreasing
+        from repro.validate.invariants import check_monotone_nonincreasing
 
         result = run_experiment("fig3")
         check_monotone_nonincreasing(
