@@ -164,11 +164,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.workers is not None and eid in _PARALLEL:
             kwargs["workers"] = args.workers
         if args.checkpoint is not None and eid in _CHECKPOINTABLE:
-            from repro.resilience.checkpoint import (
-                CheckpointPolicy,
-                RunCheckpoint,
-                run_key,
-            )
+            from repro.resilience.checkpoint import RunCheckpoint, run_key
 
             # The run key binds the checkpoint to the experiment identity:
             # id + seed (never worker count — results are seed-stable, so a
@@ -178,7 +174,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 kwargs["checkpoint"] = RunCheckpoint(
                     args.checkpoint,
                     run_key=key,
-                    policy=CheckpointPolicy(every_units=args.checkpoint_every),
+                    every_units=args.checkpoint_every,
                     resume=args.resume,
                     abort_after_saves=args.chaos_abort_after_saves,
                 )

@@ -212,7 +212,6 @@ class Engine:
         "_now",
         "_queue",
         "_counter",
-        "_active",
         "_pool",
         "_pool_timeouts",
         "_pool_cap",
@@ -229,12 +228,8 @@ class Engine:
     ) -> None:
         self._now = float(start_time)
         self._queue: list = []
-        # Monotonic insertion counter (tie-break at equal time+priority).  A
-        # plain int rather than itertools.count so the full scheduling state
-        # is a value: repro.resilience.snapshot serializes and restores it
-        # exactly, keeping resumed tie-breaks identical to uninterrupted ones.
+        # Monotonic insertion counter (tie-break at equal time+priority).
         self._counter = 0
-        self._active = 0  # scheduled-but-unfired events
         self._pool: list = []  # recycled Timeout slab (pool_timeouts=True)
         self._pool_timeouts = bool(pool_timeouts)
         self._pool_cap = int(pool_cap)
@@ -288,7 +283,6 @@ class Engine:
         seq = self._counter
         self._counter = seq + 1
         heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
-        self._active += 1
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` when the queue is empty.
@@ -298,24 +292,12 @@ class Engine:
         """
         return self._queue[0][0] if self._queue else float("inf")
 
-    def pending_entries(self) -> tuple:
-        """Heap-ordered snapshot view of the scheduled entries.
-
-        Each entry is ``(time, priority, seq, event)`` in the internal heap
-        order (a valid binary heap, *not* fire order); lazily-cancelled
-        events are still present.  This is the read side of the
-        checkpoint/restore protocol in :mod:`repro.resilience.snapshot` —
-        restoring the tuple list verbatim reproduces pop order exactly.
-        """
-        return tuple(self._queue)
-
     def step(self) -> None:
         """Fire the single next (non-cancelled) event."""
         while True:
             if not self._queue:
                 raise SimulationError("step() on an empty event queue")
             time, _prio, _seq, event = heapq.heappop(self._queue)
-            self._active -= 1
             self.events_fired += 1
             if event._cancelled:
                 continue
@@ -371,7 +353,6 @@ class Engine:
                 ):
                     pool.append(event)
         finally:
-            self._active -= fired
             self.events_fired += fired
         if until is not None:
             self._now = max(self._now, float(until))

@@ -92,6 +92,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.resume_from_target and args.in_process:
         print("error: --resume-from-target needs an HTTP --target", file=sys.stderr)
         return 2
+    # refused here, before any request or health probe is sent
+    if args.skip < 0:
+        print(f"error: --skip must be >= 0, got {args.skip}", file=sys.stderr)
+        return 2
+    if (args.skip or args.resume_from_target) and args.mode != "open":
+        print("error: --skip and --resume-from-target need --mode open", file=sys.stderr)
+        return 2
     with contextlib.ExitStack() as stack:
         if args.in_process:
             from repro.serve.engine import OrchestrationEngine

@@ -7,14 +7,15 @@ uninterrupted run — the orchestration-resilience concern the paper raises
 for duty-cycled edge nodes (§IV night outages), lifted to the simulation
 infrastructure itself.  Three layers:
 
-:mod:`repro.resilience.snapshot`
-    Versioned, schema-checked snapshot/restore of live state: the DES
-    engine's full scheduling state, numpy RNG streams, realized fault
-    schedules (re-armed on restore), and observability collectors.
 :mod:`repro.resilience.checkpoint`
     Crash-only checkpoint files (atomic replace + payload digest +
-    schema gate), cadence policies (every N units / N wall-seconds), and
-    the multi-stage :class:`RunCheckpoint` the experiments resume from.
+    schema gate), a cadence of every N completed units, and the
+    multi-stage :class:`RunCheckpoint` the experiments resume from at
+    chunk boundaries.
+:mod:`repro.resilience.snapshot`
+    Versioned, schema-checked snapshot/restore of an observability
+    collector, the obs payload every serve checkpoint carries
+    (:mod:`repro.serve.checkpoint`).
 :mod:`repro.resilience.supervisor`
     :func:`supervised_map` — chunked parallel execution with heartbeats,
     per-chunk deadlines, crash/hang retries on fresh workers (same

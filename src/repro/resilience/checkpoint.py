@@ -26,10 +26,9 @@ two slots.  The envelope makes every failure mode a *structured* one:
   raises :class:`~repro.resilience.errors.CheckpointMismatch`.
 
 :class:`Checkpointer` decides *when* to persist — every N completed work
-units and/or every N wall-clock seconds — and :class:`RunCheckpoint`
-layers a multi-stage store on top (one section per pipeline stage, chunk
-results keyed by index), which is what the experiment runners and the
-supervised parallel map share.
+units — and :class:`RunCheckpoint` layers a multi-stage store on top (one
+section per pipeline stage, chunk results keyed by index), which is what
+the experiment runners and the supervised parallel map share.
 """
 
 from __future__ import annotations
@@ -38,9 +37,7 @@ import base64
 import hashlib
 import json
 import pickle
-import time
 import zlib
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro.resilience.errors import (
@@ -182,28 +179,13 @@ def load_checkpoint(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """When to persist: every N completed units and/or every N wall seconds.
-
-    Both triggers are OR-ed; ``every_units=1`` (the default) persists after
-    every completed work unit — maximally durable, and still cheap because
-    units are whole simulation chunks (see the overhead budget in
-    ``docs/PERFORMANCE.md``).
-    """
-
-    every_units: int = 1
-    every_wall_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.every_units < 1:
-            raise ValueError("every_units must be >= 1")
-        if self.every_wall_s is not None and self.every_wall_s <= 0:
-            raise ValueError("every_wall_s must be > 0")
-
-
 class Checkpointer:
     """Cadence-driven checkpoint writer with a deterministic chaos hook.
+
+    ``every_units=N`` persists after every N completed work units; the
+    default of 1 persists after every unit — maximally durable, and still
+    cheap because units are whole simulation chunks (see the overhead
+    budget in ``docs/PERFORMANCE.md``).
 
     ``abort_after_saves=N`` raises
     :class:`~repro.resilience.errors.InterruptedRun` immediately after the
@@ -217,17 +199,18 @@ class Checkpointer:
         path,
         kind: str = "run",
         run_key: Optional[str] = None,
-        policy: Optional[CheckpointPolicy] = None,
+        every_units: int = 1,
         abort_after_saves: Optional[int] = None,
     ) -> None:
+        if every_units < 1:
+            raise ValueError("every_units must be >= 1")
         self.path = str(path)
         self.kind = kind
         self.run_key = run_key
-        self.policy = policy or CheckpointPolicy()
+        self.every_units = every_units
         self.abort_after_saves = abort_after_saves
         self.saves = 0
         self._units_since_save = 0
-        self._last_save_wall = time.monotonic()
 
     def record_units(self, n: int = 1) -> None:
         """Count ``n`` completed work units toward the cadence."""
@@ -235,22 +218,13 @@ class Checkpointer:
 
     @property
     def due(self) -> bool:
-        if self._units_since_save >= self.policy.every_units:
-            return True
-        if (
-            self.policy.every_wall_s is not None
-            and self._units_since_save > 0
-            and time.monotonic() - self._last_save_wall >= self.policy.every_wall_s
-        ):
-            return True
-        return False
+        return self._units_since_save >= self.every_units
 
     def save(self, payload: Any) -> None:
         """Unconditionally persist ``payload`` (atomic, digest-protected)."""
         write_checkpoint(self.path, payload, kind=self.kind, run_key=self.run_key)
         self.saves += 1
         self._units_since_save = 0
-        self._last_save_wall = time.monotonic()
         if self.abort_after_saves is not None and self.saves >= self.abort_after_saves:
             raise InterruptedRun(
                 f"chaos hook: simulated crash after {self.saves} checkpoint save(s)",
@@ -274,9 +248,7 @@ class RunCheckpoint:
     """Durable multi-stage store for one run (e.g. one experiment).
 
     The payload maps stage names to ``{chunk_index: chunk_results}``
-    sections plus optional named extra-state sections (RNG streams, fault
-    schedules, observability — captured through registered providers at
-    every save).  Chunk results are pure functions of their items, so a
+    sections.  Chunk results are pure functions of their items, so a
     resumed run that reuses them is bit-identical to an uninterrupted one.
     """
 
@@ -284,17 +256,15 @@ class RunCheckpoint:
         self,
         path,
         run_key: str,
-        policy: Optional[CheckpointPolicy] = None,
+        every_units: int = 1,
         resume: bool = False,
         abort_after_saves: Optional[int] = None,
     ) -> None:
         self._ckpt = Checkpointer(
             path, kind="run", run_key=run_key,
-            policy=policy, abort_after_saves=abort_after_saves,
+            every_units=every_units, abort_after_saves=abort_after_saves,
         )
         self._stages: Dict[str, Dict[int, Any]] = {}
-        self._extra: Dict[str, Any] = {}
-        self._providers: Dict[str, Callable[[], Any]] = {}
         self.resumed = False
         if resume:
             try:
@@ -306,7 +276,6 @@ class RunCheckpoint:
                     stage: {int(k): v for k, v in chunks.items()}
                     for stage, chunks in payload.get("stages", {}).items()
                 }
-                self._extra = dict(payload.get("extra", {}))
                 self.resumed = True
 
     @property
@@ -317,27 +286,16 @@ class RunCheckpoint:
     def saves(self) -> int:
         return self._ckpt.saves
 
-    def add_state_provider(self, name: str, fn: Callable[[], Any]) -> None:
-        """Capture ``fn()`` into the ``extra`` section at every save."""
-        self._providers[name] = fn
-
-    def extra_state(self, name: str) -> Any:
-        """Extra-state section loaded from a resumed checkpoint (or ``None``)."""
-        return self._extra.get(name)
-
     def completed(self, stage: str) -> Dict[int, Any]:
         """Chunk results already durable for ``stage`` (resume skip-set)."""
         return dict(self._stages.get(stage, {}))
 
     def _payload(self) -> Dict[str, Any]:
-        for name, fn in self._providers.items():
-            self._extra[name] = fn()
         return {
             "stages": {
                 stage: {str(k): v for k, v in chunks.items()}
                 for stage, chunks in self._stages.items()
             },
-            "extra": dict(self._extra),
         }
 
     def record(self, stage: str, chunk_index: int, results: Any, units: int = 1) -> None:
@@ -386,7 +344,6 @@ __all__ = [
     "check_envelope",
     "decode_payload",
     "load_checkpoint",
-    "CheckpointPolicy",
     "Checkpointer",
     "RunCheckpoint",
     "StageCheckpoint",

@@ -26,9 +26,8 @@ parsing messages:
     per-chunk attempt ledger instead of hanging or dying with a bare
     ``BrokenProcessPool``.
 ``SnapshotError``
-    The object graph handed to the snapshot layer contains state that is
-    not deterministically serializable (e.g. an event callback that is not
-    a registered, named callback).
+    An observability snapshot cannot be restored: it was written under
+    another snapshot version, or it is not an ``obs`` snapshot.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ class ResilienceError(RuntimeError):
 
 
 class SnapshotError(ResilienceError):
-    """State cannot be deterministically serialized (or deserialized)."""
+    """An obs snapshot is of another version or kind than restore expects."""
 
 
 class CheckpointError(ResilienceError):

@@ -54,7 +54,6 @@ import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import Obs
 from repro.resilience.checkpoint import (
     check_envelope,
     decode_payload,
@@ -296,18 +295,10 @@ def save_engine(path, engine: OrchestrationEngine) -> None:
 
 
 def resume_engine(
-    path,
-    config: ServeConfig,
-    obs: Optional[Obs] = None,
-    keep_trace_events: bool = True,
+    path, config: ServeConfig, keep_trace_events: bool = True
 ) -> OrchestrationEngine:
-    """Load a serve checkpoint written under exactly this config.
-
-    ``obs`` is accepted for signature symmetry with the engine constructor
-    but must be ``None`` — the checkpoint carries its own obs continuity.
-    """
-    if obs is not None:
-        raise ValueError("resume_engine restores obs from the checkpoint; pass obs=None")
+    """Load a serve checkpoint written under exactly this config; the
+    checkpoint carries its own obs continuity."""
     return _resume(path, config, keep_trace_events)[0]
 
 

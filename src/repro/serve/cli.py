@@ -30,7 +30,13 @@ to the fault-free serving layer):
   written under a *different* config, or in an older layout, refuses with
   exit code 3.  A path that cannot be written exits 2 at boot, before the
   port file appears; a save that fails later stops the server without
-  answering the request that triggered it and exits 4.
+  answering the request that triggered it and exits 4.  The boot checkpoint
+  is written only once the socket is bound, so a boot that cannot listen
+  leaves an earlier run's checkpoint at ``FILE`` as it was.
+
+Every boot error (a port out of range, an address that cannot be bound, a
+configuration the engine refuses) is one ``error:`` line on stderr and
+exit 2, before the port file appears.
 
 Trace events are kept in memory only when ``--trace-out`` will write them.
 """
@@ -147,6 +153,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.checkpoint_every < 1:
         print("error: --checkpoint-every must be >= 1", file=sys.stderr)
         return 2
+    if not 0 <= args.port <= 65535:
+        print(f"error: --port must be in [0, 65535], got {args.port}", file=sys.stderr)
+        return 2
     try:
         config = ServeConfig(
             model=args.model,
@@ -172,17 +181,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             engine = checkpointer.resume(config, keep_trace_events=keep_events)
         else:
             engine = OrchestrationEngine(config, keep_trace_events=keep_events)
-        if checkpointer is not None:
-            checkpointer.flush(engine)  # a path that cannot be written fails here
     except CheckpointError as exc:
         print(f"error: cannot resume from {args.checkpoint}: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: cannot write checkpoint {args.checkpoint}: {exc}", file=sys.stderr)
+    except OSError as exc:  # only resume reads files here
+        print(f"error: cannot resume from {args.checkpoint}: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # a config the engine cannot build (--max-parallel 0)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # Listen before the first flush: a fresh boot that cannot bind must not
+    # replace the checkpoint and log of an earlier run at the same path.
+    try:
+        server = make_server(engine, args.host, args.port)
+    except OSError as exc:
+        print(f"error: cannot listen on {args.host}:{args.port}: {exc}", file=sys.stderr)
+        return 2
+    if checkpointer is not None:
+        try:
+            checkpointer.flush(engine)  # a path that cannot be written fails here
+        except OSError as exc:
+            server.server_close()
+            print(f"error: cannot write checkpoint {args.checkpoint}: {exc}", file=sys.stderr)
+            return 2
     engine.checkpointer = checkpointer
-
-    server = make_server(engine, args.host, args.port)
     port = server.server_address[1]
     state = "resumed" if resumed else "fresh"
 

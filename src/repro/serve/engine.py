@@ -53,7 +53,7 @@ from repro.obs import Obs
 from repro.serve.faults import SERVER_FAIL, CompiledServeFaults, ServeFaultSpec
 from repro.serve.trace import PlacementTrace
 from repro.util.rng import derive_seed, make_rng
-from repro.validate.invariants import ServeConservation, run_checkers
+from repro.validate.checker import ServeConservation, run_checkers
 
 #: The serving API's operation set.
 OPS = ("admit", "release", "telemetry", "inference", "health")
@@ -123,8 +123,15 @@ class ServeConfig:
         object.__setattr__(self, "policy", normalize_kind(self.policy))
         if self.period <= 0:
             raise ValueError(f"period must be > 0, got {self.period}")
-        if self.queue_bound is not None and self.queue_bound < 1:
-            raise ValueError(f"queue_bound must be >= 1, got {self.queue_bound}")
+        # what the engine would refuse on every request is refused here;
+        # bool subclasses int
+        tb = self.telemetry_bytes
+        if type(tb) is not int or not 0 <= tb <= MAX_TELEMETRY_BYTES:
+            raise ValueError(f"telemetry_bytes must be an int in [0, {MAX_TELEMETRY_BYTES}], "
+                             f"got {tb!r}")
+        qb = self.queue_bound
+        if qb is not None and (type(qb) is not int or qb < 1):
+            raise ValueError(f"queue_bound must be None or an int >= 1, got {qb!r}")
 
     def describe(self) -> Dict[str, Any]:
         """Stable, JSON-safe header pinning the full engine behaviour.

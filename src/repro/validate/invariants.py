@@ -21,10 +21,11 @@ trips a violation instead of skewing a figure.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 from repro.energy.account import EnergyAccount
 from repro.energy.battery import Battery
+from repro.validate.checker import Checker, run_checkers
 from repro.validate.errors import InvariantViolation
 from repro.validate.state import note_check
 
@@ -37,31 +38,6 @@ REL_TOL = 1e-9
 
 def _close(a: float, b: float, rel: float = REL_TOL) -> bool:
     return math.isclose(a, b, rel_tol=rel, abs_tol=1e-9)
-
-
-class Checker:
-    """One invariant contract.  Subclasses implement :meth:`check`."""
-
-    #: Kebab-case invariant name used in violations and the docs catalog.
-    name: str = "checker"
-    #: One-line contract statement (rendered into docs/TESTING.md's catalog).
-    contract: str = ""
-
-    def check(self, subject: Any, context: Dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def violation(self, message: str, context: Dict[str, Any], **extra: Any) -> InvariantViolation:
-        merged = dict(context)
-        merged.update(extra)
-        return InvariantViolation(self.name, message, merged)
-
-
-def run_checkers(subject: Any, checkers: Iterable[Checker], context: Optional[Dict[str, Any]] = None) -> None:
-    """Run every checker against ``subject``; first violation propagates."""
-    ctx = dict(context or {})
-    for checker in checkers:
-        note_check()
-        checker.check(subject, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -457,40 +433,6 @@ class BufferConservation(Checker):
                 )
 
 
-class ServeConservation(Checker):
-    """The serving layer's request partition: nothing offered is lost.
-
-    Every non-health request an :class:`~repro.serve.engine.
-    OrchestrationEngine` accepts lands in exactly one of three ledgers —
-    served (an ``ok`` response), shed (deterministic overload rejection,
-    503 over HTTP) or errored (a structured engine error) — checked with
-    exact integer arithmetic.  The subject is anything exposing the four
-    counters (the engine itself, or a report-shaped stand-in).
-    """
-
-    name = "serve-conservation"
-    contract = "offered requests == served + shed + errored (exact integers)"
-
-    def check(self, subject: Any, context: Dict[str, Any]) -> None:
-        offered = int(getattr(subject, "n_offered"))
-        served = int(getattr(subject, "n_served"))
-        shed = int(getattr(subject, "n_shed"))
-        errored = int(getattr(subject, "n_errored"))
-        for label, value in (
-            ("n_offered", offered), ("n_served", served),
-            ("n_shed", shed), ("n_errored", errored),
-        ):
-            if value < 0:
-                raise self.violation(f"{label} is negative ({value})", context)
-        if offered != served + shed + errored:
-            raise self.violation(
-                f"offered {offered} != served {served} + shed {shed} "
-                f"+ errored {errored}",
-                context,
-                n_offered=offered, n_served=served, n_shed=shed, n_errored=errored,
-            )
-
-
 class FleetCountsConsistent(Checker):
     """Scalar sanity for the analytic single-cycle result."""
 
@@ -702,8 +644,6 @@ def check_monotone_nonincreasing(values, invariant: str = "monotone-availability
 
 
 __all__ = [
-    "Checker",
-    "run_checkers",
     "default_checkers",
     "battery_delta",
     "LedgerConservation",
@@ -714,7 +654,6 @@ __all__ = [
     "ClockMonotonicity",
     "AvailabilityBounds",
     "FaultyArraysConsistent",
-    "ServeConservation",
     "FleetCountsConsistent",
     "validate_fleet_result",
     "validate_des_run",

@@ -6,8 +6,9 @@ already imported can hide an import:
 * ``import repro`` loads no other module of the package, and its documented
   names still resolve on first use;
 * ``repro-serve``'s boot, then a default engine behind ``make_server``
-  answering the canonical smoke load and reporting, never imports numpy or
-  the experiment, ML, audio, DSP and discrete-event packages;
+  answering the canonical smoke load and reporting, never imports numpy,
+  the experiment, ML, audio, DSP and discrete-event packages, or the batch
+  invariant catalog (the report's conservation check is its own module);
 * the batch workload's boot imports load nothing of the serving stack and
   no experiment.
 """
@@ -26,7 +27,10 @@ from repro.serve.smoke import SMOKE_SPEC
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Packages the default server must never import.
-SERVE_NEVER = ("numpy", "repro.experiments", "repro.ml", "repro.audio", "repro.dsp", "repro.des")
+SERVE_NEVER = (
+    "numpy", "repro.experiments", "repro.ml", "repro.audio", "repro.dsp", "repro.des",
+    "repro.validate.invariants",
+)
 
 SERVE_SMOKE = """
 import json, socket, sys, threading

@@ -455,6 +455,21 @@ class TestCliErrorHandling:
         assert main(["--in-process", "--resume-from-target"]) == 2
         assert "HTTP" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--skip", "-1"],
+        ["--skip", "3", "--mode", "closed"],
+        ["--resume-from-target", "--mode", "closed"],
+    ])
+    def test_skip_it_cannot_honour_exits_2_before_sending(self, capsys, flags):
+        from repro.loadgen.cli import main
+
+        with _stub_server(_HealthHandler) as (url, accepted):
+            assert main(["--target", url, "--hives", "2", "--horizon", "300", *flags]) == 2
+        assert accepted == []  # no request, no health probe
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_clean_run_with_allow_errors_exits_0(self, capsys):
         from repro.loadgen.cli import main
 

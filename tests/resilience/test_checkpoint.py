@@ -1,4 +1,4 @@
-"""Checkpoint envelope, cadence policy and multi-stage store tests."""
+"""Checkpoint envelope, save cadence and multi-stage store tests."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from repro.resilience.checkpoint import (
     CHECKPOINT_SCHEMA,
     Checkpointer,
-    CheckpointPolicy,
     RunCheckpoint,
     load_checkpoint,
     run_key,
@@ -114,31 +113,19 @@ class TestRunKey:
 
 
 class TestPolicy:
-    def test_validation(self):
+    def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            CheckpointPolicy(every_units=0)
+            Checkpointer(tmp_path / "ck.json", every_units=0)
         with pytest.raises(ValueError):
-            CheckpointPolicy(every_wall_s=0.0)
+            RunCheckpoint(tmp_path / "run.json", run_key="k", every_units=0)
 
     def test_units_cadence(self, tmp_path):
-        ck = Checkpointer(tmp_path / "ck.json", policy=CheckpointPolicy(every_units=3))
+        ck = Checkpointer(tmp_path / "ck.json", every_units=3)
         saves = []
         for _ in range(7):
             ck.record_units(1)
             ck.maybe_save(lambda: saves.append(1) or {"n": len(saves)})
         assert ck.saves == 2  # after units 3 and 6
-
-    def test_wall_clock_cadence_needs_progress(self, tmp_path):
-        ck = Checkpointer(
-            tmp_path / "ck.json",
-            policy=CheckpointPolicy(every_units=10**9, every_wall_s=0.01),
-        )
-        assert not ck.due  # no units recorded: nothing new to persist
-        ck.record_units(1)
-        import time
-
-        time.sleep(0.02)
-        assert ck.due
 
     def test_abort_after_saves_raises_interrupted(self, tmp_path):
         ck = Checkpointer(tmp_path / "ck.json", abort_after_saves=2)
@@ -178,17 +165,6 @@ class TestRunCheckpoint:
         rc.flush()
         with pytest.raises(CheckpointMismatch):
             RunCheckpoint(path, run_key="theirs", resume=True)
-
-    def test_state_providers_captured_at_save(self, tmp_path):
-        path = tmp_path / "run.json"
-        rc = RunCheckpoint(path, run_key="k")
-        state = {"draws": 0}
-        rc.add_state_provider("rng", lambda: dict(state))
-        state["draws"] = 17
-        rc.flush()
-        rc2 = RunCheckpoint(path, run_key="k", resume=True)
-        assert rc2.extra_state("rng") == {"draws": 17}
-        assert rc2.extra_state("absent") is None
 
     def test_chunk_indices_are_ints_after_resume(self, tmp_path):
         # JSON stringifies dict keys inside the pickled payload's stages map;

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.calibration import PAPER
-from repro.serve.engine import OrchestrationEngine, ServeConfig
+from repro.serve.engine import MAX_TELEMETRY_BYTES, OrchestrationEngine, ServeConfig
 
 
 def engine(**kwargs) -> OrchestrationEngine:
@@ -27,6 +27,28 @@ class TestConfig:
     def test_bad_period_rejected(self):
         with pytest.raises(ValueError, match="period"):
             ServeConfig(period=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("telemetry_bytes", MAX_TELEMETRY_BYTES + 1),
+        ("telemetry_bytes", 3_000_000),
+        ("telemetry_bytes", -1),
+        ("telemetry_bytes", 2.5),
+        ("telemetry_bytes", True),
+        ("telemetry_bytes", "1024"),
+        ("queue_bound", 0),
+        ("queue_bound", 2.5),
+        ("queue_bound", True),
+        ("queue_bound", "8"),
+    ])
+    def test_operand_the_engine_would_refuse_is_refused_at_config(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(**{field: value})
+
+    @pytest.mark.parametrize("nbytes", [0, MAX_TELEMETRY_BYTES])
+    def test_telemetry_bytes_bounds_accepted(self, nbytes):
+        e = engine(telemetry_bytes=nbytes)
+        e.handle({"op": "admit", "hive": 0, "t": 0.0})
+        assert e.handle({"op": "telemetry", "hive": 0, "t": 1.0})["ok"]
 
     def test_describe_pins_the_full_engine_behaviour(self):
         desc = ServeConfig(policy="swarm-scored", policy_seed=7).describe()

@@ -609,3 +609,63 @@ class TestCliFlags:
         assert proc.returncode == 2
         assert proc.stderr.decode().startswith("error: cannot write port file")
         assert proc.stdout == b""
+
+
+def _boot_error(tmp_path, *argv) -> str:
+    """Boot ``repro-serve argv`` that must fail: exit 2, one ``error:`` line,
+    no traceback, no report and no port file.  Returns the line."""
+    port_file = tmp_path / "port"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.serve.cli", "--port-file", str(port_file), *argv],
+        capture_output=True, env=env, timeout=30,
+    )
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == 2, lines
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert proc.stdout == b""
+    assert not port_file.exists()
+    return lines[0]
+
+
+@contextlib.contextmanager
+def _busy_port():
+    """A port some other socket is listening on."""
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        yield sock.getsockname()[1]
+
+
+class TestBootErrors:
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_out_of_range(self, tmp_path, port):
+        assert "--port" in _boot_error(tmp_path, "--port", port)
+
+    def test_port_in_use(self, tmp_path):
+        with _busy_port() as port:
+            assert "cannot listen" in _boot_error(tmp_path, "--port", str(port))
+
+    def test_address_not_on_this_host(self, tmp_path):
+        # 192.0.2.1 is TEST-NET-1 (RFC 5737): a literal, so no name lookup,
+        # and assigned to no interface, so the bind fails.
+        line = _boot_error(tmp_path, "--host", "192.0.2.1", "--port", "0")
+        assert "cannot listen" in line
+
+    def test_engine_refuses_the_config(self, tmp_path):
+        _boot_error(tmp_path, "--max-parallel", "0", "--port", "0")
+
+    def test_fresh_boot_that_cannot_listen_keeps_the_earlier_checkpoint(self, tmp_path):
+        from repro.serve.checkpoint import ServeCheckpointer, log_path, slot_paths
+
+        ckpt = tmp_path / "serve.ckpt"
+        engine = OrchestrationEngine(ServeConfig())
+        checkpointer = ServeCheckpointer(ckpt, every=2)
+        engine.checkpointer = checkpointer
+        engine.handle({"op": "admit", "hive": 0, "t": 0.0})
+        for t in (1.0, 2.0, 3.0):
+            engine.handle({"op": "inference", "hive": 0, "t": t})
+        checkpointer.close()
+        files = [*slot_paths(ckpt), log_path(ckpt)]
+        before = {f: f.read_bytes() for f in files}
+        with _busy_port() as port:
+            _boot_error(tmp_path, "--port", str(port), "--checkpoint", str(ckpt))
+        assert {f: f.read_bytes() for f in files} == before

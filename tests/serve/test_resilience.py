@@ -61,7 +61,7 @@ from repro.serve.engine import (
 from repro.serve.faults import SERVER_FAIL, SERVER_RECOVER, ServeFaultSpec
 from repro.serve.http import drain_pending, make_server
 from repro.serve.trace import EVENT_KEYS, parse_event, render_event
-from repro.validate.invariants import ServeConservation, run_checkers
+from repro.validate.checker import ServeConservation, run_checkers
 
 FAULTS = ServeFaultSpec(
     server_mtbf_s=150.0,

@@ -130,37 +130,3 @@ class TestChoiceWithoutReplacement:
         from repro.util.rng import choice_without_replacement
 
         assert choice_without_replacement(make_rng(0), [1, 2], 0).size == 0
-
-
-class TestSnapshotRestore:
-    """RNG stream state survives a checkpoint round-trip (resilience layer)."""
-
-    def test_stream_continues_identically(self):
-        from repro.resilience.snapshot import restore_rng, snapshot_rng
-
-        g = make_rng(123)
-        g.random(17)  # advance into the stream
-        snap = snapshot_rng(g)
-        expected = g.random(32).tolist()
-        restored = restore_rng(snap)
-        assert restored.random(32).tolist() == expected
-
-    def test_snapshot_is_json_serializable(self):
-        import json
-
-        from repro.resilience.snapshot import restore_rng, snapshot_rng
-
-        g = make_rng(7)
-        g.integers(0, 10, size=5)
-        snap = json.loads(json.dumps(snapshot_rng(g)))
-        assert restore_rng(snap).random() == g.random()
-
-    @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=0, max_value=64))
-    def test_round_trip_at_arbitrary_stream_positions(self, seed, n_draws):
-        from repro.resilience.snapshot import restore_rng, snapshot_rng
-
-        g = make_rng(seed)
-        g.random(n_draws)
-        restored = restore_rng(snapshot_rng(g))
-        assert restored.integers(0, 2**62) == g.integers(0, 2**62)
-        assert restored.random() == g.random()

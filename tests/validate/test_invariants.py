@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.core.cohort import check_partition
@@ -19,9 +17,9 @@ from repro.validate.invariants import (
     LedgerConservation,
     battery_delta,
     check_monotone_nonincreasing,
-    run_checkers,
     validate_des_run,
 )
+from repro.validate.checker import run_checkers
 from repro.validate.state import (
     checks_run,
     reset_check_count,
